@@ -30,13 +30,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="mipscreen", description=__doc__)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="cap BLAS worker threads (0 = leave library defaults)",
-    )
     sub = p.add_subparsers(dest="command", metavar="command")
+
+    # TrainConfig's SGD and seed flags, shared by train-screen and grid
+    sgd = _Parser(add_help=False)
+    sgd.add_argument("--t", type=int, default=10, help="alternations (default 10)")
+    sgd.add_argument("--lr", type=float, default=0.05, help="SGD learning rate (default 0.05)")
+    sgd.add_argument("--epochs", type=int, default=1,
+                     help="SGD epochs per alternation (default 1)")
+    sgd.add_argument("--batch", type=int, default=256, help="SGD batch size (default 256)")
+    sgd.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
 
     g = sub.add_parser("gen", parents=[], help="generate a synthetic corpus",
                        description="Write train/test context and candidate "
@@ -55,19 +58,13 @@ def _build_parser() -> _Parser:
     l.add_argument("--candidates", required=True, help="EMB1 candidate file (required)")
     l.add_argument("--out", required=True, help="output labels text file (required)")
 
-    t = sub.add_parser("train-screen", help="train the screening model")
+    t = sub.add_parser("train-screen", parents=[sgd], help="train the screening model")
     t.add_argument("--contexts", required=True, help="EMB1 training contexts (required)")
     t.add_argument("--candidates", required=True, help="EMB1 candidates (required)")
     t.add_argument("--labels", required=True, help="labels text file (required)")
     t.add_argument("--k", type=int, default=10, help="cluster count (default 10)")
     t.add_argument("--lambda", dest="lam", type=float, default=1e-6,
                    help="balancing coefficient (default 1e-6)")
-    t.add_argument("--t", type=int, default=10, help="alternations (default 10)")
-    t.add_argument("--lr", type=float, default=0.05, help="SGD learning rate (default 0.05)")
-    t.add_argument("--epochs", type=int, default=1,
-                   help="SGD epochs per alternation (default 1)")
-    t.add_argument("--batch", type=int, default=256, help="SGD batch size (default 256)")
-    t.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
     t.add_argument("--out-model", required=True, help="output SCRN file (required)")
 
     e = sub.add_parser("eval-screen", help="evaluate a trained screening model")
@@ -78,7 +75,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--seed", type=int, default=42,
                    help="seed recorded in the report (default 42)")
 
-    r = sub.add_parser("grid", help="sweep the K x lambda grid")
+    r = sub.add_parser("grid", parents=[sgd], help="sweep the K x lambda grid")
     r.add_argument("--train-contexts", required=True, help="EMB1 training contexts (required)")
     r.add_argument("--test-contexts", required=True, help="EMB1 held-out contexts (required)")
     r.add_argument("--candidates", required=True, help="EMB1 candidates (required)")
@@ -87,12 +84,6 @@ def _build_parser() -> _Parser:
                    help="comma-separated cluster counts (default 10,20,50)")
     r.add_argument("--lambda", dest="lam", default="1e-5,5e-6,1e-6,5e-7",
                    help="comma-separated coefficients (default 1e-5,5e-6,1e-6,5e-7)")
-    r.add_argument("--t", type=int, default=10, help="alternations (default 10)")
-    r.add_argument("--lr", type=float, default=0.05, help="SGD learning rate (default 0.05)")
-    r.add_argument("--epochs", type=int, default=1,
-                   help="SGD epochs per alternation (default 1)")
-    r.add_argument("--batch", type=int, default=256, help="SGD batch size (default 256)")
-    r.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
     r.add_argument("--report", required=True, help="output CSV path (required)")
 
     s = sub.add_parser("search", help="retrieve the best candidate per context")
@@ -150,12 +141,10 @@ def _cmd_gen(args) -> int:
     )
     syn = dio.gen_synthetic(spec)
     os.makedirs(args.out_dir, exist_ok=True)
-    dio.write_embeddings(syn.train_contexts, os.path.join(args.out_dir, "train_contexts.emb"))
-    dio.write_embeddings(syn.test_contexts, os.path.join(args.out_dir, "test_contexts.emb"))
-    dio.write_embeddings(syn.candidates, os.path.join(args.out_dir, "candidates.emb"))
-    dio.write_labels(syn.train_topics, os.path.join(args.out_dir, "train_topics.txt"))
-    dio.write_labels(syn.test_topics, os.path.join(args.out_dir, "test_topics.txt"))
-    dio.write_labels(syn.candidate_topics, os.path.join(args.out_dir, "candidate_topics.txt"))
+    for name in ("train_contexts", "test_contexts", "candidates"):
+        dio.write_embeddings(getattr(syn, name), os.path.join(args.out_dir, name + ".emb"))
+    for name in ("train_topics", "test_topics", "candidate_topics"):
+        dio.write_labels(getattr(syn, name), os.path.join(args.out_dir, name + ".txt"))
     print(f"wrote synthetic corpus to {args.out_dir}")
     return 0
 
@@ -176,17 +165,21 @@ def _load_trainset(contexts_path, candidates_path, labels_path) -> scr.Screening
     )
 
 
-def _cmd_train_screen(args) -> int:
-    trainset = _load_trainset(args.contexts, args.candidates, args.labels)
-    cfg = scr.TrainConfig(
-        k=args.k,
-        lam=args.lam,
+def _train_config(args, k, lam) -> scr.TrainConfig:
+    return scr.TrainConfig(
+        k=k,
+        lam=lam,
         alternations=args.t,
         learning_rate=args.lr,
         epochs_per_alternation=args.epochs,
         batch_size=args.batch,
         seed=args.seed,
     )
+
+
+def _cmd_train_screen(args) -> int:
+    trainset = _load_trainset(args.contexts, args.candidates, args.labels)
+    cfg = _train_config(args, args.k, args.lam)
     result = scr.train(trainset, cfg)
     scr.save_model(result.model, args.out_model)
     print(
@@ -237,15 +230,7 @@ def _cmd_grid(args) -> int:
     test_contexts = dio.read_embeddings(args.test_contexts)
     k_list = _parse_list(args.k, int, "--k")
     lam_list = _parse_list(args.lam, float, "--lambda")
-    base = scr.TrainConfig(
-        k=k_list[0],
-        lam=lam_list[0],
-        alternations=args.t,
-        learning_rate=args.lr,
-        epochs_per_alternation=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
+    base = _train_config(args, k_list[0], lam_list[0])
     cells = ev.grid_sweep(trainset, test_contexts, k_list, lam_list, base)
     config = {
         "command": "grid",
@@ -268,6 +253,16 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _load_model(path, candidates) -> scr.ScreeningModel:
+    model = scr.load_model(path)
+    if model.n_candidates != candidates.shape[0]:
+        raise ValueError(
+            f"--model expects {model.n_candidates} candidates but "
+            f"--candidates has {candidates.shape[0]}"
+        )
+    return model
+
+
 def _cmd_search(args) -> int:
     contexts = dio.read_embeddings(args.context_file)
     candidates = dio.read_embeddings(args.candidates)
@@ -276,19 +271,13 @@ def _cmd_search(args) -> int:
     if args.screened:
         if not args.model:
             raise _UsageError("search: --screened requires --model")
-        model = scr.load_model(args.model)
-        if model.n_candidates != candidates.shape[0]:
-            raise ValueError(
-                f"--model expects {model.n_candidates} candidates but "
-                f"--candidates has {candidates.shape[0]}"
-            )
-        for c in contexts:
+        model = _load_model(args.model, candidates)
+    for c in contexts:
+        if args.screened:
             r = scr.screened_search(c, model, candidates)
-            print(f"{r.index} {r.score:.6f}")
-    else:
-        for c in contexts:
+        else:
             r = exact_argmax(c, candidates)
-            print(f"{r.index} {r.score:.6f}")
+        print(f"{r.index} {r.score:.6f}")
     return 0
 
 
@@ -334,30 +323,22 @@ def _cmd_gen_pairs(args) -> int:
 def _cmd_bench(args) -> int:
     contexts = dio.read_embeddings(args.contexts)
     candidates = dio.read_embeddings(args.candidates)
-    exact_stats = ev.bench_latency(
-        "exact", contexts, candidates, warmup=args.warmup, iters=args.iters
-    )
-    print(
-        f"exact    mean {exact_stats.mean_ns / 1e6:.3f} ms  "
-        f"p50 {exact_stats.p50_ns / 1e6:.3f} ms  "
-        f"p99 {exact_stats.p99_ns / 1e6:.3f} ms  ({exact_stats.count} queries)"
-    )
-    if args.model:
-        model = scr.load_model(args.model)
-        if model.n_candidates != candidates.shape[0]:
-            raise ValueError(
-                f"--model expects {model.n_candidates} candidates but "
-                f"--candidates has {candidates.shape[0]}"
-            )
-        scr_stats = ev.bench_latency(
-            "screened", contexts, candidates, model,
-            warmup=args.warmup, iters=args.iters,
+
+    def bench(mode, model=None):
+        stats = ev.bench_latency(
+            mode, contexts, candidates, model, warmup=args.warmup, iters=args.iters
         )
         print(
-            f"screened mean {scr_stats.mean_ns / 1e6:.3f} ms  "
-            f"p50 {scr_stats.p50_ns / 1e6:.3f} ms  "
-            f"p99 {scr_stats.p99_ns / 1e6:.3f} ms  ({scr_stats.count} queries)"
+            f"{mode:<8} mean {stats.mean_ns / 1e6:.3f} ms  "
+            f"p50 {stats.p50_ns / 1e6:.3f} ms  "
+            f"p99 {stats.p99_ns / 1e6:.3f} ms  ({stats.count} queries)"
         )
+        return stats
+
+    exact_stats = bench("exact")
+    if args.model:
+        model = _load_model(args.model, candidates)
+        scr_stats = bench("screened", model)
         print(
             f"wall-clock speedup {exact_stats.mean_ns / scr_stats.mean_ns:.2f}x, "
             f"subset speedup ratio {ev.speedup_ratio(model, contexts):.2f}x"
@@ -384,13 +365,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError(parser.format_usage())
-        if args.threads > 0:
-            try:
-                import threadpoolctl
-
-                threadpoolctl.threadpool_limits(args.threads)
-            except ImportError:
-                pass
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         message = str(exc).rstrip()

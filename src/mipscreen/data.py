@@ -6,18 +6,16 @@ seeds give bit-identical data on any platform, and any row of a stream
 can be regenerated independently from its counter offset.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_finite, normalize_rows
-from .distill import PairSet, PlantedTeacher
+from .core import check_finite, normalize_rows, read_container, write_container
+from .distill import PairSet, PlantedTeacher, teacher_favorite
 from .search import argmax_batch
 
 _EMB_MAGIC = b"EMB1"
 _PAIR_MAGIC = b"PAIR"
-_VERSION = 1
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -62,32 +60,14 @@ def write_embeddings(matrix, path) -> None:
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
     check_finite(matrix, "embedding matrix")
-    header = _EMB_MAGIC + bytes([_VERSION])
-    header += struct.pack("<II", matrix.shape[0], matrix.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(header + matrix.astype("<f4").tobytes())
+    write_container(path, _EMB_MAGIC, "<II", matrix.shape, [matrix.astype("<f4")])
 
 
 def read_embeddings(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _EMB_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_EMB_MAGIC!r}")
-    if len(blob) < 5 or blob[4] != _VERSION:
-        raise ValueError(
-            f"unsupported EMB1 version {blob[4] if len(blob) > 4 else 'missing'}"
-        )
-    if len(blob) < 13:
-        raise ValueError(f"truncated header: expected 13 bytes, found {len(blob)}")
-    count, dim = struct.unpack("<II", blob[5:13])
-    expected = 13 + count * dim * 4
-    if len(blob) != expected:
-        raise ValueError(
-            f"truncated payload: expected {expected} bytes, found {len(blob)}"
-        )
-    data = np.frombuffer(blob[13:], dtype="<f4").reshape(count, dim).copy()
-    check_finite(data, "embedding matrix")
-    return data
+    _, (data,) = read_container(
+        path, _EMB_MAGIC, "<II", lambda count, dim: [("<f4", (count, dim))]
+    )
+    return check_finite(data, "embedding matrix")
 
 
 def write_labels(labels, path) -> None:
@@ -150,6 +130,12 @@ def _noisy_rows(directions, tags, sigma, seed) -> np.ndarray:
     return rows.astype(np.float32)
 
 
+def _uniform_tags(seed: int, count: int, topics: int) -> np.ndarray:
+    """count topic ids in [0, topics), one splitmix64 counter each."""
+    bits = _splitmix64(np.uint64(seed) + np.arange(count, dtype=np.uint64))
+    return (bits % np.uint64(topics)).astype(np.int64)
+
+
 def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     """Draw unit topic directions, then scatter candidates and contexts
     around them. Candidate j belongs to topic j mod topics, so every topic
@@ -160,20 +146,8 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     dirs = normalize_rows(dirs.astype(np.float32)).astype(np.float64)
 
     cand_tags = np.arange(spec.n_candidates) % spec.topics
-    train_tags = (
-        _splitmix64(
-            np.uint64(mix_seed(spec.seed, 3))
-            + np.arange(spec.m_train, dtype=np.uint64)
-        )
-        % np.uint64(spec.topics)
-    ).astype(np.int64)
-    test_tags = (
-        _splitmix64(
-            np.uint64(mix_seed(spec.seed, 5))
-            + np.arange(spec.m_test, dtype=np.uint64)
-        )
-        % np.uint64(spec.topics)
-    ).astype(np.int64)
+    train_tags = _uniform_tags(mix_seed(spec.seed, 3), spec.m_train, spec.topics)
+    test_tags = _uniform_tags(mix_seed(spec.seed, 5), spec.m_test, spec.topics)
 
     candidates = _noisy_rows(dirs, cand_tags, spec.noise_sigma, mix_seed(spec.seed, 2))
     train = _noisy_rows(dirs, train_tags, spec.noise_sigma, mix_seed(spec.seed, 4))
@@ -230,11 +204,7 @@ def _pair_split(spec: PairSpec, teacher, count: int, seed: int) -> PairSet:
     ctx32 = ctx.astype(np.float32)
     pos = np.empty((count, f), dtype=np.float32)
     for i in range(count):
-        scores = teacher.score_batch(
-            np.repeat(ctx32[i : i + 1], spec.picks, axis=0),
-            cands[i].astype(np.float32),
-        )
-        pos[i] = cands[i, int(np.argmax(scores))]
+        pos[i] = cands[i, teacher_favorite(teacher, ctx32[i], cands[i].astype(np.float32))]
 
     ctx_rows = np.repeat(ctx32, 2, axis=0)
     resp_rows = np.empty((2 * count, f), dtype=np.float32)
@@ -259,41 +229,33 @@ def write_pairs(pairs: PairSet, path) -> None:
     """Persist a labeled pair set (cached teacher scores included)."""
     if pairs.teacher_scores is None:
         raise ValueError("pair set has no cached teacher scores to persist")
-    count, f = pairs.ctx_features.shape
-    header = _PAIR_MAGIC + bytes([_VERSION]) + struct.pack("<II", count, f)
-    body = pairs.ctx_features.astype("<f4").tobytes()
-    body += pairs.resp_features.astype("<f4").tobytes()
-    body += pairs.teacher_scores.astype("<f4").tobytes()
-    body += pairs.labels.astype(np.uint8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)
+    write_container(
+        path,
+        _PAIR_MAGIC,
+        "<II",
+        pairs.ctx_features.shape,
+        [
+            pairs.ctx_features.astype("<f4"),
+            pairs.resp_features.astype("<f4"),
+            pairs.teacher_scores.astype("<f4"),
+            pairs.labels.astype(np.uint8),
+        ],
+    )
 
 
 def read_pairs(path) -> PairSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _PAIR_MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_PAIR_MAGIC!r}")
-    if len(blob) < 5 or blob[4] != _VERSION:
-        raise ValueError(
-            f"unsupported PAIR version {blob[4] if len(blob) > 4 else 'missing'}"
-        )
-    if len(blob) < 13:
-        raise ValueError(f"truncated header: expected 13 bytes, found {len(blob)}")
-    count, f = struct.unpack("<II", blob[5:13])
-    expected = 13 + count * f * 8 + count * 5
-    if len(blob) != expected:
-        raise ValueError(
-            f"truncated payload: expected {expected} bytes, found {len(blob)}"
-        )
-    off = 13
-    ctx = np.frombuffer(blob[off : off + count * f * 4], dtype="<f4")
-    off += count * f * 4
-    resp = np.frombuffer(blob[off : off + count * f * 4], dtype="<f4")
-    off += count * f * 4
-    scores = np.frombuffer(blob[off : off + count * 4], dtype="<f4").copy()
-    off += count * 4
-    labels = np.frombuffer(blob[off:], dtype=np.uint8).copy()
-    return PairSet(
-        ctx.reshape(count, f).copy(), resp.reshape(count, f).copy(), labels, scores
+    _, (ctx, resp, scores, labels) = read_container(
+        path,
+        _PAIR_MAGIC,
+        "<II",
+        lambda count, f: [
+            ("<f4", (count, f)),
+            ("<f4", (count, f)),
+            ("<f4", (count,)),
+            (np.uint8, (count,)),
+        ],
     )
+    check_finite(ctx, "context features")
+    check_finite(resp, "response features")
+    check_finite(scores, "teacher scores")
+    return PairSet(ctx, resp, labels, scores)

@@ -7,16 +7,16 @@ accurate teacher scorer supervises training through an L2 term on the
 score gap, added to the usual binary cross entropy on labels.
 """
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import as_matrix, as_vector, check_finite, sigmoid_array
+from .core import read_container, write_container
+from .search import RankingInstance
 
 _MAGIC = b"DENC"
-_VERSION = 1
 _CLAMP = 1e-12
 
 
@@ -204,16 +204,9 @@ def loss_and_gradients(
 
 def _teacher_scores_for(pairs: PairSet, teacher) -> np.ndarray:
     if teacher is not None:
-        if hasattr(teacher, "score_batch"):
-            return np.asarray(
-                teacher.score_batch(pairs.ctx_features, pairs.resp_features),
-                dtype=np.float64,
-            )
-        return np.array(
-            [
-                float(teacher(pairs.ctx_features[i], pairs.resp_features[i]))
-                for i in range(len(pairs))
-            ]
+        return np.asarray(
+            teacher.score_batch(pairs.ctx_features, pairs.resp_features),
+            dtype=np.float64,
         )
     if pairs.teacher_scores is None:
         raise ValueError("no teacher given and no cached teacher scores")
@@ -230,7 +223,7 @@ def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResul
     if len(pairs) < 2 or pairs.labels.min() == pairs.labels.max():
         raise ValueError("need at least one positive and one negative pair")
     scores_cross = _teacher_scores_for(pairs, teacher)
-    if np.any(scores_cross <= 0.0) or np.any(scores_cross >= 1.0):
+    if not np.all((scores_cross > 0.0) & (scores_cross < 1.0)):
         raise ValueError("teacher scores must lie strictly inside (0, 1)")
 
     n_feat = pairs.ctx_features.shape[1]
@@ -264,6 +257,12 @@ def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResul
     return DistillResult(encoder, epoch_losses)
 
 
+def teacher_favorite(teacher, context, responses) -> int:
+    """Row of `responses` the teacher scores highest for one context."""
+    contexts = np.repeat(context[None], responses.shape[0], axis=0)
+    return int(np.argmax(teacher.score_batch(contexts, responses)))
+
+
 def ranking_instances_by_teacher(
     teacher, contexts, response_pool, n_candidates: int, seed: int
 ) -> list:
@@ -274,8 +273,6 @@ def ranking_instances_by_teacher(
     distractors. Ranking a student on these measures how faithfully it
     reproduces the teacher's preferences.
     """
-    from .search import RankingInstance
-
     contexts = as_matrix(contexts)
     response_pool = as_matrix(response_pool)
     if n_candidates > response_pool.shape[0]:
@@ -284,11 +281,7 @@ def ranking_instances_by_teacher(
     instances = []
     for i in range(contexts.shape[0]):
         ids = rng.choice(response_pool.shape[0], size=n_candidates, replace=False)
-        scores = teacher.score_batch(
-            np.repeat(contexts[i : i + 1], n_candidates, axis=0),
-            response_pool[ids],
-        )
-        gt = int(ids[int(np.argmax(scores))])
+        gt = int(ids[teacher_favorite(teacher, contexts[i], response_pool[ids])])
         rest = tuple(int(j) for j in ids if j != gt)
         instances.append(RankingInstance(i, gt, rest))
     return instances
@@ -296,32 +289,17 @@ def ranking_instances_by_teacher(
 
 def save_encoder(encoder: DualEncoder, path) -> None:
     """Write the bit-exact DENC container."""
-    header = _MAGIC + bytes([_VERSION])
-    header += struct.pack("<II", encoder.n_features, encoder.dim)
-    body = encoder.w_ctx.astype("<f4").tobytes()
-    body += encoder.w_resp.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)
+    write_container(
+        path,
+        _MAGIC,
+        "<II",
+        (encoder.n_features, encoder.dim),
+        [encoder.w_ctx.astype("<f4"), encoder.w_resp.astype("<f4")],
+    )
 
 
 def load_encoder(path) -> DualEncoder:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    if len(blob) < 5 or blob[4] != _VERSION:
-        raise ValueError(
-            f"unsupported DENC version {blob[4] if len(blob) > 4 else 'missing'}"
-        )
-    if len(blob) < 13:
-        raise ValueError(f"truncated header: expected 13 bytes, found {len(blob)}")
-    f, d = struct.unpack("<II", blob[5:13])
-    expected = 13 + 2 * f * d * 4
-    if len(blob) != expected:
-        raise ValueError(
-            f"truncated payload: expected {expected} bytes, found {len(blob)}"
-        )
-    half = 13 + f * d * 4
-    w_ctx = np.frombuffer(blob[13:half], dtype="<f4").reshape(f, d).copy()
-    w_resp = np.frombuffer(blob[half:], dtype="<f4").reshape(f, d).copy()
+    _, (w_ctx, w_resp) = read_container(
+        path, _MAGIC, "<II", lambda f, d: [("<f4", (f, d))] * 2
+    )
     return DualEncoder(w_ctx, w_resp)

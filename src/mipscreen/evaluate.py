@@ -8,7 +8,7 @@ accuracy (honest benefit).
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ from .screening import (
     ScreeningModel,
     ScreeningTrainSet,
     TrainConfig,
+    assign_clusters,
     predict_subset,
     screened_search,
     train,
@@ -39,9 +40,6 @@ class EvalReport:
     speedup_ratio: float
     mean_subset_size: float
     n_candidates: int
-    recall_at_1: Optional[float] = None
-    per_query_time: Optional[TimingStats] = None
-    loss_trajectory: list = field(default_factory=list)
 
     def __post_init__(self):
         if abs(self.speedup_ratio * self.mean_subset_size - self.n_candidates) > 1e-9 * self.n_candidates:
@@ -59,18 +57,16 @@ class GridCell:
     error: Optional[str] = None
 
 
-def _subset_sizes(model: ScreeningModel, contexts) -> np.ndarray:
-    """Predicted subset size per context; empty subsets count as N."""
-    contexts = as_matrix(contexts)
-    z = contexts.astype(np.float64) @ model.centroids.astype(np.float64).T
-    assigned = np.argmax(z, axis=1)
-    sizes = model.subset_sizes[assigned].astype(np.float64)
-    sizes[sizes == 0] = model.n_candidates
-    return sizes
+def _subset_sizes(model: ScreeningModel, clusters, fallback) -> np.ndarray:
+    """Searched subset size per assigned context; a fallback counts as N."""
+    return np.where(
+        fallback, model.n_candidates, model.subset_sizes[clusters]
+    ).astype(np.float64)
 
 
 def mean_subset_size(model: ScreeningModel, contexts) -> float:
-    return float(_subset_sizes(model, contexts).mean())
+    assignment = assign_clusters(as_matrix(contexts), model)
+    return float(_subset_sizes(model, *assignment).mean())
 
 
 def speedup_ratio(model: ScreeningModel, contexts) -> float:
@@ -80,31 +76,22 @@ def speedup_ratio(model: ScreeningModel, contexts) -> float:
 
 def screening_accuracy(model: ScreeningModel, contexts, candidates) -> float:
     """Fraction of contexts whose exact winner survives screening."""
+    return evaluate_model(model, contexts, candidates).accuracy
+
+
+def evaluate_model(model: ScreeningModel, contexts, candidates) -> EvalReport:
     contexts = as_matrix(contexts)
     candidates = as_matrix(candidates)
     if candidates.shape[0] != model.n_candidates:
         raise ValueError("model and candidate set disagree on candidate count")
+    clusters, fallback = assign_clusters(contexts, model)
     oracle = argmax_batch(contexts, candidates)
-    z = contexts.astype(np.float64) @ model.centroids.astype(np.float64).T
-    assigned = np.argmax(z, axis=1)
-    contained = model.subset_bools[assigned, oracle]
-    fallback = model.subset_sizes[assigned] == 0
-    return float(np.mean(contained | fallback))
-
-
-def evaluate_model(
-    model: ScreeningModel,
-    contexts,
-    candidates,
-    loss_trajectory: Optional[list] = None,
-) -> EvalReport:
-    mean_sub = mean_subset_size(model, contexts)
+    mean_sub = float(_subset_sizes(model, clusters, fallback).mean())
     return EvalReport(
-        accuracy=screening_accuracy(model, contexts, candidates),
+        accuracy=float(np.mean(model.subset_bools[clusters, oracle] | fallback)),
         speedup_ratio=model.n_candidates / mean_sub,
         mean_subset_size=mean_sub,
         n_candidates=model.n_candidates,
-        loss_trajectory=list(loss_trajectory or []),
     )
 
 
@@ -123,15 +110,7 @@ def grid_sweep(
     cells = []
     for k in sorted(set(int(v) for v in k_list)):
         for lam in sorted(set(float(v) for v in lam_list)):
-            cfg = TrainConfig(
-                k=k,
-                lam=lam,
-                alternations=base_cfg.alternations,
-                learning_rate=base_cfg.learning_rate,
-                epochs_per_alternation=base_cfg.epochs_per_alternation,
-                batch_size=base_cfg.batch_size,
-                seed=base_cfg.seed,
-            )
+            cfg = replace(base_cfg, k=k, lam=lam)
             try:
                 model = train(trainset, cfg).model
                 report = evaluate_model(model, test_contexts, trainset.candidates)
@@ -182,16 +161,16 @@ def bench_latency(
     elif mode == "screened":
         if model is None:
             raise ValueError("screened mode requires a model")
-        model.member_indices  # prime caches outside the timed region
+        # also primes the model's caches outside the timed region
         for c in contexts:
-            oracle = exact_argmax(c, candidates)
-            if oracle.index in predict_subset(c, model):
-                got = screened_search(c, model, candidates)
-                if got.index != oracle.index:
-                    raise RuntimeError(
-                        "screened search disagreed with exact search on a "
-                        "contained oracle index"
-                    )
+            want = exact_argmax(c, candidates).index
+            if want in predict_subset(c, model) and (
+                screened_search(c, model, candidates).index != want
+            ):
+                raise RuntimeError(
+                    "screened search disagreed with exact search on a "
+                    "contained oracle index"
+                )
 
         def run(c):
             return screened_search(c, model, candidates)

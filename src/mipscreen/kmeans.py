@@ -12,23 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_vector, check_finite, normalize_rows
+from .core import as_matrix, as_vector, check_finite, inner_product_argmax, normalize_rows
+from .search import argmax_batch
+
+_MAX_ITERS = 50
+_TOL = 1e-4  # mean centroid movement that counts as converged
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
-    max_iters: int = 50
     seed: int = 42
-    tol: float = 1e-4  # mean centroid movement that counts as converged
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -40,25 +38,12 @@ class KMeansTrace:
 
 def hard_assign(point, centroids) -> int:
     """Cluster of maximum inner product; ties go to the lowest index."""
-    point = as_vector(point)
-    centroids = as_matrix(centroids)
-    if centroids.shape[0] < 1:
-        raise ValueError("centroid set is empty")
-    if centroids.shape[1] != point.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: point {point.shape[0]} vs "
-            f"centroids {centroids.shape[1]}"
-        )
-    sims = centroids.astype(np.float64) @ point.astype(np.float64)
-    return int(np.argmax(sims))
+    return int(argmax_batch(as_vector(point)[None], centroids)[0])
 
 
 def assign_all(points, centroids) -> np.ndarray:
     """hard_assign for every row of `points`."""
-    points = as_matrix(points)
-    centroids = as_matrix(centroids)
-    sims = points.astype(np.float64) @ centroids.astype(np.float64).T
-    return np.argmax(sims, axis=1)
+    return argmax_batch(points, centroids)
 
 
 def _plusplus_init(points_n: np.ndarray, k: int, rng) -> np.ndarray:
@@ -106,7 +91,7 @@ def _repair_empty(points_n, centroids, labels):
             candidate = points_n[i]
             trial = centroids.copy()
             trial[ke] = candidate
-            if int(np.argmax(trial @ candidate)) != ke:
+            if inner_product_argmax(candidate[None], trial)[0] != ke:
                 continue
             counts[labels[i]] -= 1
             counts[ke] += 1
@@ -131,8 +116,8 @@ def fit_spherical_kmeans(points, cfg: KMeansConfig) -> KMeansTrace:
 
     objective = []
     labels = np.zeros(points_n.shape[0], dtype=np.int64)
-    for _ in range(cfg.max_iters):
-        labels = np.argmax(points_n @ centroids.T, axis=1)
+    for _ in range(_MAX_ITERS):
+        labels = inner_product_argmax(points_n, centroids)
         labels = _repair_empty(points_n, centroids, labels)
         new_centroids = centroids.copy()
         for j in range(cfg.k):
@@ -150,11 +135,11 @@ def fit_spherical_kmeans(points, cfg: KMeansConfig) -> KMeansTrace:
         objective.append(
             float(np.einsum("ij,ij->i", points_n, centroids[labels]).sum())
         )
-        if movement < cfg.tol:
+        if movement < _TOL:
             break
 
     # converged centroids may have drifted a cluster empty; fix once more
-    labels = np.argmax(points_n @ centroids.T, axis=1)
+    labels = inner_product_argmax(points_n, centroids)
     labels = _repair_empty(points_n, centroids, labels)
     return KMeansTrace(centroids.astype(np.float32), labels, objective)
 

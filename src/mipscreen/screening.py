@@ -11,18 +11,18 @@ accumulated coefficient is <= 0), and with subsets fixed the centroids
 move by mini-batch gradient descent through the soft cluster assignment.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import as_matrix, as_vector, check_finite, inner_product
+from .core import as_matrix, as_vector, check_finite, inner_product, inner_product_argmax
+from .core import read_container, write_container
 from .kmeans import KMeansConfig, spherical_kmeans
 from .search import SearchResult
 
 _MAGIC = b"SCRN"
-_VERSION = 1
+_HEADER = "<IIId"  # K, N, D, lambda
 
 
 def pack_subsets(bits) -> np.ndarray:
@@ -136,10 +136,6 @@ class TrainResult:
     losses_after_subset: list  # objective right after each subset step
     best_step: int
 
-    @property
-    def loss_trajectory(self) -> list:
-        return list(self.losses_after_subset)
-
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
@@ -149,12 +145,7 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 def soft_assign(c, centroids) -> np.ndarray:
     """Cluster membership probabilities: softmax over centroid dots."""
-    c = as_vector(c)
-    centroids = as_matrix(centroids)
-    if centroids.shape[1] != c.shape[0]:
-        raise ValueError("dimension mismatch between context and centroids")
-    z = centroids.astype(np.float64) @ c.astype(np.float64)
-    return _softmax_rows(z[None, :])[0]
+    return soft_assign_batch(as_vector(c)[None], centroids)[0]
 
 
 def soft_assign_batch(contexts, centroids) -> np.ndarray:
@@ -208,10 +199,7 @@ def total_loss(model: ScreeningModel, trainset: ScreeningTrainSet) -> float:
         raise ValueError("model and train set disagree on candidate count")
     if model.dim != trainset.contexts.shape[1]:
         raise ValueError("model and train set disagree on dimension")
-    mu = _softmax_rows(
-        trainset.contexts.astype(np.float64)
-        @ model.centroids.astype(np.float64).T
-    )
+    mu = soft_assign_batch(trainset.contexts, model.centroids)
     return _loss_given_mu(mu, model.subset_bools, trainset.labels, model.lam)
 
 
@@ -322,20 +310,27 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     return TrainResult(model, before, after, best_step)
 
 
-def predict_subset(c, model: ScreeningModel) -> np.ndarray:
-    """Candidate indices surviving screening for this context.
+def assign_clusters(contexts: np.ndarray, model: ScreeningModel):
+    """Hard cluster id of every context row, and whether the row falls
+    back to the full candidate range.
 
-    Hard-assigns the context to its best cluster; an empty stored subset
-    falls back to the full candidate range rather than returning nothing.
+    Serving and evaluation both assign through here. A cluster whose
+    stored subset is empty would screen out every candidate, so its
+    contexts are scored against all N instead of returning nothing.
     """
+    clusters = inner_product_argmax(contexts, model.centroids)
+    return clusters, model.subset_sizes[clusters] == 0
+
+
+def predict_subset(c, model: ScreeningModel) -> np.ndarray:
+    """Candidate indices surviving screening for this context."""
     c = as_vector(c)
     if c.shape[0] != model.dim:
         raise ValueError("context dimension does not match model")
-    z = model.centroids.astype(np.float64) @ c.astype(np.float64)
-    members = model.member_indices[int(np.argmax(z))]
-    if members.size == 0:
+    clusters, fallback = assign_clusters(c[None], model)
+    if fallback[0]:
         return np.arange(model.n_candidates)
-    return members
+    return model.member_indices[clusters[0]]
 
 
 def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
@@ -352,43 +347,26 @@ def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
         rows = candidates
     else:
         rows = candidates[members]
-    scores = rows.astype(np.float64) @ c.astype(np.float64)
-    best = int(members[int(np.argmax(scores))])
+    best = int(members[inner_product_argmax(c[None], rows)[0]])
     return SearchResult(best, inner_product(c, candidates[best]))
 
 
 def save_model(model: ScreeningModel, path) -> None:
     """Write the bit-exact SCRN container."""
-    header = _MAGIC + bytes([_VERSION])
-    header += struct.pack("<III", model.k, model.n_candidates, model.dim)
-    header += struct.pack("<d", model.lam)
-    body = model.centroids.astype("<f4").tobytes() + model.subsets.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)
+    write_container(
+        path,
+        _MAGIC,
+        _HEADER,
+        (model.k, model.n_candidates, model.dim, model.lam),
+        (model.centroids.astype("<f4"), model.subsets),
+    )
 
 
 def load_model(path) -> ScreeningModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    if len(blob) < 5 or blob[4] != _VERSION:
-        raise ValueError(
-            f"unsupported SCRN version {blob[4] if len(blob) > 4 else 'missing'}"
-        )
-    if len(blob) < 25:
-        raise ValueError(f"truncated header: expected 25 bytes, found {len(blob)}")
-    k, n, d = struct.unpack("<III", blob[5:17])
-    (lam,) = struct.unpack("<d", blob[17:25])
-    row_bytes = (n + 7) // 8
-    expected = 25 + k * d * 4 + k * row_bytes
-    if len(blob) != expected:
-        raise ValueError(
-            f"truncated payload: expected {expected} bytes, found {len(blob)}"
-        )
-    cent_end = 25 + k * d * 4
-    centroids = np.frombuffer(blob[25:cent_end], dtype="<f4").reshape(k, d).copy()
-    packed = (
-        np.frombuffer(blob[cent_end:], dtype=np.uint8).reshape(k, row_bytes).copy()
+    (k, n, d, lam), (centroids, packed) = read_container(
+        path,
+        _MAGIC,
+        _HEADER,
+        lambda k, n, d, lam: [("<f4", (k, d)), (np.uint8, (k, (n + 7) // 8))],
     )
     return ScreeningModel(centroids, packed, lam, n)

@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, as_vector, inner_product
-
-# Context rows scored per block when batching oracle searches; keeps the
-# float64 score buffer bounded for large candidate sets.
-_BATCH_ROWS = 256
+from .core import as_matrix, as_vector, inner_product, inner_product_argmax
 
 
 @dataclass(frozen=True)
@@ -37,32 +33,19 @@ class RankingInstance:
             raise ValueError("candidate ids must be distinct")
         if len(self.distractor_ids) < 1:
             raise ValueError("need at least one distractor")
-
-
-def scores_against(c, candidates) -> np.ndarray:
-    """Float64 inner products of one context against every candidate row."""
-    c = as_vector(c)
-    candidates = as_matrix(candidates)
-    if candidates.shape[1] != c.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: context {c.shape[0]} vs "
-            f"candidates {candidates.shape[1]}"
-        )
-    return candidates.astype(np.float64) @ c.astype(np.float64)
+        if self.context_id < 0 or min(ids) < 0:
+            raise ValueError("context and candidate ids must be non-negative")
 
 
 def exact_argmax(c, candidates) -> SearchResult:
     """Best candidate by raw inner product; ties go to the lowest index."""
     candidates = as_matrix(candidates)
-    if candidates.shape[0] < 1:
-        raise ValueError("candidate set is empty")
-    scores = scores_against(c, candidates)
-    idx = int(np.argmax(scores))
+    idx = int(argmax_batch(as_vector(c)[None], candidates)[0])
     return SearchResult(idx, inner_product(c, candidates[idx]))
 
 
 def argmax_batch(contexts, candidates) -> np.ndarray:
-    """exact_argmax indices for every context row, computed blockwise."""
+    """exact_argmax indices for every context row."""
     contexts = as_matrix(contexts)
     candidates = as_matrix(candidates)
     if candidates.shape[0] < 1:
@@ -72,20 +55,21 @@ def argmax_batch(contexts, candidates) -> np.ndarray:
             f"dimension mismatch: contexts {contexts.shape[1]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    cand64 = candidates.astype(np.float64)
-    out = np.empty(contexts.shape[0], dtype=np.int64)
-    for start in range(0, contexts.shape[0], _BATCH_ROWS):
-        block = contexts[start : start + _BATCH_ROWS].astype(np.float64)
-        out[start : start + block.shape[0]] = np.argmax(block @ cand64.T, axis=1)
-    return out
+    return inner_product_argmax(contexts, candidates)
 
 
 def top_k(c, candidates, k: int) -> list:
     """k best candidates, scores non-increasing, equal scores by index."""
+    c = as_vector(c)
     candidates = as_matrix(candidates)
     if not 1 <= k <= candidates.shape[0]:
         raise ValueError(f"k={k} out of range [1, {candidates.shape[0]}]")
-    scores = scores_against(c, candidates)
+    if candidates.shape[1] != c.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: context {c.shape[0]} vs "
+            f"candidates {candidates.shape[1]}"
+        )
+    scores = candidates.astype(np.float64) @ c.astype(np.float64)
     # stable sort on negated scores keeps index-ascending order inside ties
     order = np.argsort(-scores, kind="stable")[:k]
     return [SearchResult(int(i), float(scores[i])) for i in order]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mipscreen.cli import run
-from mipscreen.data import read_embeddings
+from mipscreen.data import PairSpec, gen_pair_data, read_embeddings, write_pairs
+from mipscreen.distill import DualEncoder, PairSet, load_encoder, save_encoder
 from mipscreen.screening import ScreeningModel, pack_subsets, save_model
 
 
@@ -261,3 +262,75 @@ class TestExitCodes:
         )
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+
+def _corruptions(blob, header_size):
+    """Every prefix up to one byte past the header, the file minus its
+    last byte, and the file with its first magic byte or its version byte
+    flipped."""
+    for n in range(header_size + 2):
+        yield blob[:n]
+    yield blob[:-1]
+    for i in (0, 4):
+        yield blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :]
+
+
+def _assert_one_line_data_error(argv, capsys):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("mipscreen: error: ") and err.count("\n") == 1, err
+
+
+class TestContainerFuzz:
+    def _fuzz(self, blob, header_size, path, argv, capsys):
+        for variant in _corruptions(blob, header_size):
+            path.write_bytes(variant)
+            _assert_one_line_data_error(argv, capsys)
+
+    def test_emb1(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.emb"
+        argv = ["search", "--exact", "--context-file", str(bad),
+                "--candidates", str(corpus / "candidates.emb")]
+        self._fuzz((corpus / "test_contexts.emb").read_bytes(), 13, bad, argv, capsys)
+
+    def test_scrn(self, corpus, tmp_path, capsys):
+        good, bad = tmp_path / "good.scrn", tmp_path / "bad.scrn"
+        bits = np.zeros((3, 60), dtype=bool)
+        bits[0, :7] = True
+        model = ScreeningModel(np.eye(3, 8, dtype=np.float32), pack_subsets(bits), 0.5, 60)
+        save_model(model, good)
+        argv = ["search", "--screened", "--model", str(bad),
+                "--context-file", str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb")]
+        self._fuzz(good.read_bytes(), 25, bad, argv, capsys)
+
+    def test_pair(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.pair", tmp_path / "bad.pair"
+        write_pairs(gen_pair_data(PairSpec(n_train=4, n_test=2, n_features=3))[0], good)
+        argv = ["distill", "--pairs", str(bad), "--out-encoder", str(tmp_path / "e.denc")]
+        self._fuzz(good.read_bytes(), 13, bad, argv, capsys)
+
+    def test_denc(self, tmp_path):
+        # no subcommand reads DENC; cli.run maps this ValueError to exit 2
+        good, bad = tmp_path / "good.denc", tmp_path / "bad.denc"
+        w = np.arange(6, dtype=np.float32).reshape(3, 2)
+        save_encoder(DualEncoder(w, -w), good)
+        for variant in _corruptions(good.read_bytes(), 13):
+            bad.write_bytes(variant)
+            with pytest.raises(ValueError) as exc:
+                load_encoder(bad)
+            assert "\n" not in str(exc.value)
+
+    def test_non_finite_teacher_score_named_before_training(self, tmp_path, capsys):
+        pairs = gen_pair_data(PairSpec(n_train=4, n_test=2, n_features=3))[0]
+        scores = pairs.teacher_scores.copy()
+        scores[1] = np.nan
+        path = tmp_path / "nan.pair"
+        write_pairs(PairSet(pairs.ctx_features, pairs.resp_features, pairs.labels, scores), path)
+        argv = ["distill", "--pairs", str(path), "--out-encoder", str(tmp_path / "e.denc")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "mipscreen: error: teacher scores contains non-finite entries\n"
+        assert not (tmp_path / "e.denc").exists()

@@ -272,6 +272,19 @@ class TestPairData:
         with pytest.raises(ValueError, match=rf"expected {len(blob)} bytes, found {len(blob) - 2}"):
             read_pairs(path)
 
+    def test_non_finite_rejected_on_read(self, tmp_path):
+        from mipscreen.distill import PairSet
+
+        pairs, _, _ = gen_pair_data(PairSpec(n_train=5, n_test=5, seed=9))
+        fields = ["ctx_features", "resp_features", "labels", "teacher_scores"]
+        for name in ("ctx_features", "resp_features", "teacher_scores"):
+            arrays = {f: getattr(pairs, f).copy() for f in fields}
+            arrays[name].flat[3] = np.nan
+            path = tmp_path / f"{name}.pair"
+            write_pairs(PairSet(*(arrays[f] for f in fields)), path)
+            with pytest.raises(ValueError, match="non-finite"):
+                read_pairs(path)
+
     def test_write_requires_cached_scores(self, tmp_path):
         from mipscreen.distill import PairSet
 

@@ -182,6 +182,18 @@ class TestTrainDistilled:
         with pytest.raises(ValueError, match="positive and one negative"):
             train_distilled(all_pos, None, DistillConfig())
 
+    def test_teacher_scores_outside_open_unit_interval_rejected(self):
+        rng = np.random.default_rng(70)
+        pairs = _random_pairs(rng, count=10)
+        for bad in (np.nan, 0.0, 1.0):
+            scores = pairs.teacher_scores.copy()
+            scores[4] = bad
+            bad_pairs = PairSet(
+                pairs.ctx_features, pairs.resp_features, pairs.labels, scores
+            )
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                train_distilled(bad_pairs, None, DistillConfig(epochs=1))
+
     def test_distillation_tracks_teacher_closer(self):
         from mipscreen.data import PairSpec, gen_pair_data
 

@@ -155,6 +155,11 @@ class TestRankingInstance:
         with pytest.raises(ValueError, match="distinct"):
             RankingInstance(0, 3, (1, 1))
 
+    def test_negative_ids_rejected(self):
+        for args in ((-1, 0, (-2,)), (-1, 0, (2,)), (0, -1, (2,)), (0, 1, (-2,))):
+            with pytest.raises(ValueError, match="non-negative"):
+                RankingInstance(*args)
+
     def test_distractors_unique_and_exclude_gt(self):
         instances = build_ranking_instances([2, 5], 20, 9, seed=20)
         for inst in instances:
