@@ -94,11 +94,7 @@ def score_dual(c, r) -> float:
 
 def l2_normalize(v) -> np.ndarray:
     """Scale to unit Euclidean norm. Zero vectors are rejected."""
-    v = as_vector(v)
-    norm = float(np.linalg.norm(v.astype(np.float64)))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return (v.astype(np.float64) / norm).astype(np.float32)
+    return normalize_rows(as_vector(v)[None])[0]
 
 
 def normalize_rows(m) -> np.ndarray:

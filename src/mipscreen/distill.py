@@ -18,6 +18,7 @@ from .search import RankingInstance
 
 _MAGIC = b"DENC"
 _CLAMP = 1e-12
+_HIDDEN = 32  # PlantedTeacher's hidden width
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +106,10 @@ class PlantedTeacher:
     deterministic in fact. Scores are always strictly inside (0, 1).
     """
 
-    def __init__(self, n_features: int, seed: int, hidden: int = 32):
+    def __init__(self, n_features: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(2 * n_features), (hidden, 2 * n_features))
-        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), hidden)
+        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(2 * n_features), (_HIDDEN, 2 * n_features))
+        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(_HIDDEN), _HIDDEN)
         self.gain = 2.0
         self.n_features = n_features
 
@@ -127,16 +128,21 @@ class PlantedTeacher:
         )
 
 
+def _kd_losses(s, sc, y, beta):
+    """Per-pair distillation loss, elementwise: beta * (s - sc)^2 plus the
+    label BCE of dual score s, clamped away from {0, 1} inside the logs."""
+    clamped = np.clip(s, _CLAMP, 1.0 - _CLAMP)
+    return beta * (s - sc) ** 2 - y * np.log(clamped) - (1.0 - y) * np.log(1.0 - clamped)
+
+
 def bce(score: float, label: int) -> float:
     """Binary cross entropy with scores clamped away from {0, 1}."""
-    s = min(max(float(score), _CLAMP), 1.0 - _CLAMP)
-    return -label * np.log(s) - (1 - label) * np.log(1.0 - s)
+    return kd_loss(score, score, label, 0.0)
 
 
 def kd_loss(score_dual: float, score_cross: float, label: int, beta: float) -> float:
     """Distillation objective: beta * squared score gap + label BCE."""
-    gap = float(score_dual) - float(score_cross)
-    return beta * gap * gap + bce(score_dual, label)
+    return float(_kd_losses(float(score_dual), float(score_cross), label, beta))
 
 
 def encode(encoder: DualEncoder, features, side: str) -> np.ndarray:
@@ -155,13 +161,18 @@ def encode(encoder: DualEncoder, features, side: str) -> np.ndarray:
     return (features.astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
 
 
+def _embed_and_score(w_ctx, w_resp, ctx, resp):
+    """Float64 embeddings of both sides and their row-wise dual scores."""
+    ce = ctx @ np.asarray(w_ctx, dtype=np.float64)
+    re = resp @ np.asarray(w_resp, dtype=np.float64)
+    return ce, re, sigmoid_array(np.einsum("ij,ij->i", ce, re))
+
+
 def pair_scores(encoder: DualEncoder, ctx_features, resp_features) -> np.ndarray:
     """Row-wise dual scores sigmoid(ctx_emb . resp_emb) in float64."""
     ctx = as_matrix(ctx_features).astype(np.float64)
     resp = as_matrix(resp_features).astype(np.float64)
-    ce = ctx @ encoder.w_ctx.astype(np.float64)
-    re = resp @ encoder.w_resp.astype(np.float64)
-    return sigmoid_array(np.einsum("ij,ij->i", ce, re))
+    return _embed_and_score(encoder.w_ctx, encoder.w_resp, ctx, resp)[2]
 
 
 def loss_and_gradients(
@@ -185,21 +196,11 @@ def loss_and_gradients(
     y = np.asarray(labels, dtype=np.float64)
     p = ctx.shape[0]
 
-    ce = ctx @ np.asarray(w_ctx, dtype=np.float64)
-    re = resp @ np.asarray(w_resp, dtype=np.float64)
-    q = np.einsum("ij,ij->i", ce, re)
-    s = sigmoid_array(q)
-
-    s_clamped = np.clip(s, _CLAMP, 1.0 - _CLAMP)
-    losses = (
-        beta * (s - sc) ** 2
-        - y * np.log(s_clamped)
-        - (1.0 - y) * np.log(1.0 - s_clamped)
-    )
+    ce, re, s = _embed_and_score(w_ctx, w_resp, ctx, resp)
     dq = 2.0 * beta * (s - sc) * s * (1.0 - s) + (s - y)
     g_ctx = ctx.T @ (dq[:, None] * re) / p
     g_resp = resp.T @ (dq[:, None] * ce) / p
-    return float(losses.mean()), g_ctx, g_resp
+    return float(_kd_losses(s, sc, y, beta).mean()), g_ctx, g_resp
 
 
 def _teacher_scores_for(pairs: PairSet, teacher) -> np.ndarray:

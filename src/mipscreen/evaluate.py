@@ -64,8 +64,15 @@ def _subset_sizes(model: ScreeningModel, clusters, fallback) -> np.ndarray:
     ).astype(np.float64)
 
 
+def _contexts(contexts) -> np.ndarray:
+    contexts = as_matrix(contexts)
+    if contexts.shape[0] < 1:
+        raise ValueError("need at least one context")
+    return contexts
+
+
 def mean_subset_size(model: ScreeningModel, contexts) -> float:
-    assignment = assign_clusters(as_matrix(contexts), model)
+    assignment = assign_clusters(_contexts(contexts), model)
     return float(_subset_sizes(model, *assignment).mean())
 
 
@@ -80,7 +87,7 @@ def screening_accuracy(model: ScreeningModel, contexts, candidates) -> float:
 
 
 def evaluate_model(model: ScreeningModel, contexts, candidates) -> EvalReport:
-    contexts = as_matrix(contexts)
+    contexts = _contexts(contexts)
     candidates = as_matrix(candidates)
     if candidates.shape[0] != model.n_candidates:
         raise ValueError("model and candidate set disagree on candidate count")
@@ -107,6 +114,7 @@ def grid_sweep(
     the sweep continues."""
     if not len(k_list) or not len(lam_list):
         raise ValueError("k_list and lam_list must be non-empty")
+    test_contexts = _contexts(test_contexts)
     cells = []
     for k in sorted(set(int(v) for v in k_list)):
         for lam in sorted(set(float(v) for v in lam_list)):
@@ -146,14 +154,12 @@ def bench_latency(
     agrees with exact search on every context whose oracle winner is in
     the predicted subset.
     """
-    contexts = as_matrix(contexts)
+    contexts = _contexts(contexts)
     candidates = as_matrix(candidates)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if contexts.shape[0] < 1:
-        raise ValueError("need at least one context")
 
     if mode == "exact":
         def run(c):

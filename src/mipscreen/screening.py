@@ -5,10 +5,14 @@ candidate subsets. A query is assigned to its best cluster and scored only
 against that cluster's subset, trading a small accuracy loss for a large
 cut in dot products.
 
-Training alternates two moves: with centroids fixed the optimal subsets
-have a closed form (include candidate j in cluster k exactly when its
-accumulated coefficient is <= 0), and with subsets fixed the centroids
-move by mini-batch gradient descent through the soft cluster assignment.
+The training objective is bilinear in the soft assignment mu (M, K) and
+the subset bits s (K, N): M + sum_ikj mu_ik s_kj (lam - (lam + 1) [j == y_i]),
+with y_i the best candidate of context i. Its derivative in s is alpha
+(`compute_alpha`), its derivative in mu the cluster-cost table
+(`_cluster_costs`). Training alternates two moves: with centroids fixed
+the optimal subsets have a closed form (keep s_kj exactly when alpha_kj
+<= 0), and with subsets fixed the centroids move by mini-batch gradient
+descent through the softmax that gives mu.
 """
 
 from dataclasses import dataclass
@@ -180,17 +184,15 @@ def pair_loss(p: float, y: int, lam: float) -> float:
     return lam * p * (1 - y) + (1.0 - p) * y
 
 
-def _loss_given_mu(mu, subset_bools, labels, lam):
-    # sum over all pairs of pair_loss, factored: the lam * p mass over all
-    # (i, j) is sum_k mass_k * |s_k|, minus the label column counted there
+def _cluster_costs(subset_bools, labels, lam) -> np.ndarray:
+    """(M, K) weight of context i in cluster k: lam * |s_k| - (lam + 1) *
+    s_k[y_i]. The objective is M + sum(mu * costs)."""
     pop = subset_bools.sum(axis=1).astype(np.float64)
-    p_label = np.einsum(
-        "ik,ik->i", mu, subset_bools[:, labels].T.astype(np.float64)
-    )
-    total_p = float(mu.sum(axis=0) @ pop)
-    label_p = float(p_label.sum())
-    m = mu.shape[0]
-    return lam * (total_p - label_p) + (m - label_p)
+    return lam * pop[None, :] - (lam + 1.0) * subset_bools[:, labels].T
+
+
+def _objective(mu, costs) -> float:
+    return mu.shape[0] + float(np.einsum("ik,ik->", mu, costs))
 
 
 def total_loss(model: ScreeningModel, trainset: ScreeningTrainSet) -> float:
@@ -200,7 +202,7 @@ def total_loss(model: ScreeningModel, trainset: ScreeningTrainSet) -> float:
     if model.dim != trainset.contexts.shape[1]:
         raise ValueError("model and train set disagree on dimension")
     mu = soft_assign_batch(trainset.contexts, model.centroids)
-    return _loss_given_mu(mu, model.subset_bools, trainset.labels, model.lam)
+    return _objective(mu, _cluster_costs(model.subset_bools, trainset.labels, model.lam))
 
 
 def compute_alpha(
@@ -229,15 +231,11 @@ def update_subsets(alpha: np.ndarray) -> np.ndarray:
     return alpha <= 0.0
 
 
-def _gradient(centroids64, subset_bools, lam, contexts64, labels):
-    """d(objective)/d(centroids), summed over the given contexts."""
+def _gradient(centroids64, contexts64, costs):
+    """d(objective)/d(centroids), summed over contexts with these costs."""
     mu = _softmax_rows(contexts64 @ centroids64.T)
-    pop = subset_bools.sum(axis=1).astype(np.float64)
-    s_label = subset_bools[:, labels].T.astype(np.float64)  # (B, K)
-    b = lam * pop[None, :] - (lam + 1.0) * s_label
-    inner = np.einsum("ik,ik->i", mu, b)
-    g_logits = mu * (b - inner[:, None])
-    return g_logits.T @ contexts64
+    inner = np.einsum("ik,ik->i", mu, costs)
+    return (mu * (costs - inner[:, None])).T @ contexts64
 
 
 def centroid_gradient(model: ScreeningModel, contexts, labels) -> np.ndarray:
@@ -249,13 +247,9 @@ def centroid_gradient(model: ScreeningModel, contexts, labels) -> np.ndarray:
         raise ValueError("need at least one context")
     if labels.shape != (contexts.shape[0],):
         raise ValueError("need exactly one label per context")
-    return _gradient(
-        model.centroids.astype(np.float64),
-        model.subset_bools,
-        model.lam,
-        contexts.astype(np.float64),
-        labels,
-    )
+    centroids64 = model.centroids.astype(np.float64)
+    costs = _cluster_costs(model.subset_bools, labels, model.lam)
+    return _gradient(centroids64, contexts.astype(np.float64), costs)
 
 
 def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
@@ -267,26 +261,25 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     with the lowest objective observed right after a subset step.
     """
     m, _ = trainset.contexts.shape
-    n = trainset.candidates.shape[0]
     if cfg.k > m:
         raise ValueError(f"k={cfg.k} exceeds context count {m}")
 
     contexts64 = trainset.contexts.astype(np.float64)
-    labels = trainset.labels
     centroids = spherical_kmeans(
         trainset.contexts, KMeansConfig(k=cfg.k, seed=cfg.seed)
     ).astype(np.float64)
-    subsets = np.zeros((cfg.k, n), dtype=bool)
+    costs = np.zeros((m, cfg.k))  # empty subsets
     rng = np.random.default_rng(cfg.seed)
 
     before, after = [], []
     best = None
     for step in range(cfg.alternations):
         mu = _softmax_rows(contexts64 @ centroids.T)
-        before.append(_loss_given_mu(mu, subsets, labels, cfg.lam))
+        before.append(_objective(mu, costs))
 
         subsets = update_subsets(compute_alpha(mu, trainset, cfg.lam))
-        loss = _loss_given_mu(mu, subsets, labels, cfg.lam)
+        costs = _cluster_costs(subsets, trainset.labels, cfg.lam)
+        loss = _objective(mu, costs)
         after.append(loss)
         if best is None or loss < best[0]:
             best = (loss, step, centroids.copy(), subsets.copy())
@@ -295,9 +288,7 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
             perm = rng.permutation(m)
             for lo in range(0, m, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
-                grad = _gradient(
-                    centroids, subsets, cfg.lam, contexts64[batch], labels[batch]
-                )
+                grad = _gradient(centroids, contexts64[batch], costs[batch])
                 centroids -= cfg.learning_rate * (grad / batch.size)
 
     _, best_step, best_centroids, best_subsets = best
@@ -305,7 +296,7 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
         centroids=best_centroids.astype(np.float32),
         subsets=pack_subsets(best_subsets),
         lam=cfg.lam,
-        n_candidates=n,
+        n_candidates=trainset.candidates.shape[0],
     )
     return TrainResult(model, before, after, best_step)
 
@@ -318,16 +309,17 @@ def assign_clusters(contexts: np.ndarray, model: ScreeningModel):
     stored subset is empty would screen out every candidate, so its
     contexts are scored against all N instead of returning nothing.
     """
+    if contexts.shape[1] != model.dim:
+        raise ValueError(
+            f"dimension mismatch: contexts {contexts.shape[1]} vs model {model.dim}"
+        )
     clusters = inner_product_argmax(contexts, model.centroids)
     return clusters, model.subset_sizes[clusters] == 0
 
 
 def predict_subset(c, model: ScreeningModel) -> np.ndarray:
     """Candidate indices surviving screening for this context."""
-    c = as_vector(c)
-    if c.shape[0] != model.dim:
-        raise ValueError("context dimension does not match model")
-    clusters, fallback = assign_clusters(c[None], model)
+    clusters, fallback = assign_clusters(as_vector(c)[None], model)
     if fallback[0]:
         return np.arange(model.n_candidates)
     return model.member_indices[clusters[0]]
@@ -341,6 +333,10 @@ def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
         raise ValueError(
             f"model expects {model.n_candidates} candidates, "
             f"got {candidates.shape[0]}"
+        )
+    if candidates.shape[1] != model.dim:
+        raise ValueError(
+            f"dimension mismatch: candidates {candidates.shape[1]} vs model {model.dim}"
         )
     members = predict_subset(c, model)
     if members.size == candidates.shape[0]:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mipscreen.cli import run
-from mipscreen.data import PairSpec, gen_pair_data, read_embeddings, write_pairs
+from mipscreen.data import (
+    PairSpec,
+    gen_pair_data,
+    read_embeddings,
+    write_embeddings,
+    write_pairs,
+)
 from mipscreen.distill import DualEncoder, PairSet, load_encoder, save_encoder
 from mipscreen.screening import ScreeningModel, pack_subsets, save_model
 
@@ -264,6 +270,45 @@ class TestExitCodes:
         assert "magic" in capsys.readouterr().err
 
 
+class TestInputMismatch:
+    def _model(self, tmp_path, dim, n=60):
+        path = tmp_path / f"d{dim}.scrn"
+        bits = np.ones((2, n), dtype=bool)
+        model = ScreeningModel(np.eye(2, dim, dtype=np.float32), pack_subsets(bits), 0.5, n)
+        save_model(model, path)
+        return path
+
+    def test_eval_screen_empty_contexts(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty.emb"
+        write_embeddings(np.zeros((0, 8), dtype=np.float32), empty)
+        argv = ["eval-screen", "--model", str(self._model(tmp_path, 8)),
+                "--contexts", str(empty), "--candidates", str(corpus / "candidates.emb")]
+        _assert_one_line_data_error(argv, capsys, "need at least one context")
+
+    def test_grid_empty_test_contexts(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty.emb"
+        write_embeddings(np.zeros((0, 8), dtype=np.float32), empty)
+        argv = ["grid", "--train-contexts", str(corpus / "train_contexts.emb"),
+                "--test-contexts", str(empty),
+                "--candidates", str(corpus / "candidates.emb"),
+                "--labels", str(corpus / "labels.txt"),
+                "--report", str(tmp_path / "grid.csv")]
+        _assert_one_line_data_error(argv, capsys, "need at least one context")
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_eval_screen_model_dimension(self, corpus, tmp_path, capsys):
+        argv = ["eval-screen", "--model", str(self._model(tmp_path, 5)),
+                "--contexts", str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb")]
+        _assert_one_line_data_error(argv, capsys, "dimension mismatch: contexts 8 vs model 5")
+
+    def test_search_screened_model_dimension(self, corpus, tmp_path, capsys):
+        argv = ["search", "--screened", "--model", str(self._model(tmp_path, 5)),
+                "--context-file", str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb")]
+        _assert_one_line_data_error(argv, capsys, "dimension mismatch: candidates 8 vs model 5")
+
+
 def _corruptions(blob, header_size):
     """Every prefix up to one byte past the header, the file minus its
     last byte, and the file with its first magic byte or its version byte
@@ -275,11 +320,12 @@ def _corruptions(blob, header_size):
         yield blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :]
 
 
-def _assert_one_line_data_error(argv, capsys):
+def _assert_one_line_data_error(argv, capsys, message=""):
     code = run(argv)
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("mipscreen: error: ") and err.count("\n") == 1, err
+    assert message in err, err
 
 
 class TestContainerFuzz:

@@ -106,6 +106,33 @@ class TestSpeedup:
         )
 
 
+class TestInputChecks:
+    def test_empty_contexts_rejected(self):
+        model = make_model(np.ones((2, 3)), np.ones((2, 5)))
+        empty = np.zeros((0, 3), dtype=np.float32)
+        candidates = np.ones((5, 3), dtype=np.float32)
+        for call in (
+            lambda: evaluate_model(model, empty, candidates),
+            lambda: screening_accuracy(model, empty, candidates),
+            lambda: mean_subset_size(model, empty),
+            lambda: speedup_ratio(model, empty),
+        ):
+            with pytest.raises(ValueError, match="need at least one context"):
+                call()
+
+    def test_grid_rejects_empty_test_contexts_before_training(self, small_world):
+        trainset, _ = small_world
+        empty = np.zeros((0, trainset.contexts.shape[1]), dtype=np.float32)
+        with pytest.raises(ValueError, match="need at least one context"):
+            grid_sweep(trainset, empty, [2], [1e-4])
+
+    def test_model_dimension_mismatch_rejected(self):
+        model = make_model(np.ones((2, 3)), np.ones((2, 5)))
+        contexts = np.ones((4, 6), dtype=np.float32)
+        with pytest.raises(ValueError, match="dimension mismatch: contexts 6 vs model 3"):
+            evaluate_model(model, contexts, np.ones((5, 6), dtype=np.float32))
+
+
 class TestGridSweep:
     def test_singleton_matches_individual_metrics(self, small_world):
         trainset, covered_test = small_world

@@ -408,6 +408,16 @@ class TestPredictAndSearch:
         with pytest.raises(ValueError, match="candidates"):
             screened_search(np.ones(3), model, np.ones((7, 3), dtype=np.float32))
 
+    def test_context_dimension_mismatch_rejected(self):
+        model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
+        with pytest.raises(ValueError, match="dimension mismatch: contexts 4 vs model 3"):
+            predict_subset(np.ones(4), model)
+
+    def test_candidate_dimension_mismatch_rejected(self):
+        model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
+        with pytest.raises(ValueError, match="dimension mismatch: candidates 4 vs model 3"):
+            screened_search(np.ones(3), model, np.ones((5, 4), dtype=np.float32))
+
 
 class TestLambdaMonotonicity:
     def test_subsets_shrink_as_lambda_rises(self):
