@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("search", help="retrieve the best candidate per context")
     s.add_argument("--context-file", required=True, help="EMB1 query contexts (required)")
     s.add_argument("--candidates", required=True, help="EMB1 candidates (required)")
-    s.add_argument("--model", default="", help="SCRN model (required for --screened)")
+    s.add_argument("--model", default="", help="SCRN model (--screened only; required there)")
     mode = s.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="brute-force search (default)")
     mode.add_argument("--screened", action="store_true", help="search the predicted subset only")
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--epochs", type=int, default=20, help="SGD epochs (default 20)")
     d.add_argument("--batch", type=int, default=64, help="SGD batch size (default 64)")
     d.add_argument("--dim", type=int, default=0,
-                   help="embedding width (default 0 = half the feature length)")
+                   help="embedding width (default 0 = half the feature length, at least 2)")
     d.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
     d.add_argument("--out-encoder", required=True, help="output DENC file (required)")
 
@@ -264,13 +264,15 @@ def _load_model(path, candidates) -> scr.ScreeningModel:
 
 
 def _cmd_search(args) -> int:
+    if args.screened and not args.model:
+        raise _UsageError("search: --screened requires --model")
+    if args.model and not args.screened:
+        raise _UsageError("search: --model requires --screened")
     contexts = dio.read_embeddings(args.context_file)
     candidates = dio.read_embeddings(args.candidates)
     if candidates.shape[0] < 1:
         raise ValueError(f"candidate file {args.candidates} is empty")
     if args.screened:
-        if not args.model:
-            raise _UsageError("search: --screened requires --model")
         model = _load_model(args.model, candidates)
     for c in contexts:
         if args.screened:

@@ -82,7 +82,7 @@ class DistillConfig:
     epochs: int = 20
     batch_size: int = 64
     seed: int = 42
-    dim: Optional[int] = None  # embedding width; None means F // 2
+    dim: Optional[int] = None  # embedding width; None means max(2, F // 2)
 
     def __post_init__(self):
         if self.beta < 0:

@@ -2,9 +2,8 @@
 
 Accuracy is the fraction of held-out contexts whose exact-search winner
 survives screening; the speedup ratio is the candidate count over the
-mean predicted-subset size. Queries that fall back to the full candidate
-set count as size N for speed (honest cost) and as contained for
-accuracy (honest benefit).
+mean size of the subset a context searches. Both read what a context
+actually searches, `ScreeningModel.searched_bools`.
 """
 
 import time
@@ -37,13 +36,12 @@ class TimingStats:
 @dataclass(frozen=True, eq=False)
 class EvalReport:
     accuracy: float
-    speedup_ratio: float
     mean_subset_size: float
     n_candidates: int
 
-    def __post_init__(self):
-        if abs(self.speedup_ratio * self.mean_subset_size - self.n_candidates) > 1e-9 * self.n_candidates:
-            raise ValueError("speedup ratio inconsistent with mean subset size")
+    @property
+    def speedup_ratio(self) -> float:
+        return self.n_candidates / self.mean_subset_size
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,6 @@ class GridCell:
     error: Optional[str] = None
 
 
-def _subset_sizes(model: ScreeningModel, clusters, fallback) -> np.ndarray:
-    """Searched subset size per assigned context; a fallback counts as N."""
-    return np.where(
-        fallback, model.n_candidates, model.subset_sizes[clusters]
-    ).astype(np.float64)
-
-
 def _contexts(contexts) -> np.ndarray:
     contexts = as_matrix(contexts)
     if contexts.shape[0] < 1:
@@ -72,12 +63,13 @@ def _contexts(contexts) -> np.ndarray:
 
 
 def mean_subset_size(model: ScreeningModel, contexts) -> float:
-    assignment = assign_clusters(_contexts(contexts), model)
-    return float(_subset_sizes(model, *assignment).mean())
+    clusters = assign_clusters(_contexts(contexts), model)
+    return float(model.subset_sizes[clusters].mean())
 
 
 def speedup_ratio(model: ScreeningModel, contexts) -> float:
-    """Candidate count over mean predicted-subset size (>= 1 by packing)."""
+    """Candidate count over mean searched-subset size (>= 1, since a
+    context searches at most all N candidates)."""
     return model.n_candidates / mean_subset_size(model, contexts)
 
 
@@ -88,16 +80,11 @@ def screening_accuracy(model: ScreeningModel, contexts, candidates) -> float:
 
 def evaluate_model(model: ScreeningModel, contexts, candidates) -> EvalReport:
     contexts = _contexts(contexts)
-    candidates = as_matrix(candidates)
-    if candidates.shape[0] != model.n_candidates:
-        raise ValueError("model and candidate set disagree on candidate count")
-    clusters, fallback = assign_clusters(contexts, model)
-    oracle = argmax_batch(contexts, candidates)
-    mean_sub = float(_subset_sizes(model, clusters, fallback).mean())
+    clusters = assign_clusters(contexts, model)
+    oracle = argmax_batch(contexts, model.check_candidates(candidates))
     return EvalReport(
-        accuracy=float(np.mean(model.subset_bools[clusters, oracle] | fallback)),
-        speedup_ratio=model.n_candidates / mean_sub,
-        mean_subset_size=mean_sub,
+        accuracy=float(np.mean(model.searched_bools[clusters, oracle])),
+        mean_subset_size=float(model.subset_sizes[clusters].mean()),
         n_candidates=model.n_candidates,
     )
 

@@ -39,7 +39,7 @@ def pack_subsets(bits) -> np.ndarray:
 
 def unpack_subsets(packed: np.ndarray, n: int) -> np.ndarray:
     """Inverse of pack_subsets; returns a (K, n) bool matrix."""
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +77,42 @@ class ScreeningModel:
 
     @cached_property
     def subset_bools(self) -> np.ndarray:
+        """The stored subset bits, unpacked to (K, N) bools."""
         return unpack_subsets(self.subsets, self.n_candidates)
 
     @cached_property
+    def searched_bools(self) -> np.ndarray:
+        """(K, N) bools of the candidates a query in each cluster searches.
+
+        This is `subset_bools`, except that an empty subset would screen
+        out everything, so its cluster searches all N candidates instead.
+        Serving and evaluation read this table; training and the SCRN file
+        keep the raw bits. It is unpacked from `subsets` with every byte of
+        an empty row set, so serving never unpacks the raw bits too.
+        """
+        full = self.subsets.copy()
+        full[~full.any(axis=1)] = 0xFF
+        return unpack_subsets(full, self.n_candidates)
+
+    @cached_property
     def member_indices(self) -> list:
-        return [np.flatnonzero(row) for row in self.subset_bools]
+        return [np.flatnonzero(row) for row in self.searched_bools]
 
     @cached_property
     def subset_sizes(self) -> np.ndarray:
         return np.array([idx.size for idx in self.member_indices])
+
+    def check_candidates(self, candidates) -> np.ndarray:
+        """`candidates` as a float32 matrix, if its shape fits this model."""
+        candidates = as_matrix(candidates)
+        n, d = candidates.shape
+        if n != self.n_candidates:
+            raise ValueError(
+                f"candidate count mismatch: candidates {n} vs model {self.n_candidates}"
+            )
+        if d != self.dim:
+            raise ValueError(f"dimension mismatch: candidates {d} vs model {self.dim}")
+        return candidates
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +224,7 @@ def _objective(mu, costs) -> float:
 
 def total_loss(model: ScreeningModel, trainset: ScreeningTrainSet) -> float:
     """Screening objective summed over every (context, candidate) pair."""
-    if model.n_candidates != trainset.candidates.shape[0]:
-        raise ValueError("model and train set disagree on candidate count")
-    if model.dim != trainset.contexts.shape[1]:
-        raise ValueError("model and train set disagree on dimension")
+    model.check_candidates(trainset.candidates)
     mu = soft_assign_batch(trainset.contexts, model.centroids)
     return _objective(mu, _cluster_costs(model.subset_bools, trainset.labels, model.lam))
 
@@ -301,49 +325,28 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     return TrainResult(model, before, after, best_step)
 
 
-def assign_clusters(contexts: np.ndarray, model: ScreeningModel):
-    """Hard cluster id of every context row, and whether the row falls
-    back to the full candidate range.
-
-    Serving and evaluation both assign through here. A cluster whose
-    stored subset is empty would screen out every candidate, so its
-    contexts are scored against all N instead of returning nothing.
-    """
+def assign_clusters(contexts: np.ndarray, model: ScreeningModel) -> np.ndarray:
+    """Hard cluster id of every context row. Serving and evaluation both
+    assign through here; a context then searches its cluster's row of
+    `model.searched_bools`."""
     if contexts.shape[1] != model.dim:
         raise ValueError(
             f"dimension mismatch: contexts {contexts.shape[1]} vs model {model.dim}"
         )
-    clusters = inner_product_argmax(contexts, model.centroids)
-    return clusters, model.subset_sizes[clusters] == 0
+    return inner_product_argmax(contexts, model.centroids)
 
 
 def predict_subset(c, model: ScreeningModel) -> np.ndarray:
-    """Candidate indices surviving screening for this context."""
-    clusters, fallback = assign_clusters(as_vector(c)[None], model)
-    if fallback[0]:
-        return np.arange(model.n_candidates)
-    return model.member_indices[clusters[0]]
+    """Candidate indices this context searches."""
+    return model.member_indices[assign_clusters(as_vector(c)[None], model)[0]]
 
 
 def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
     """Exact argmax restricted to the predicted subset."""
     c = as_vector(c)
-    candidates = as_matrix(candidates)
-    if candidates.shape[0] != model.n_candidates:
-        raise ValueError(
-            f"model expects {model.n_candidates} candidates, "
-            f"got {candidates.shape[0]}"
-        )
-    if candidates.shape[1] != model.dim:
-        raise ValueError(
-            f"dimension mismatch: candidates {candidates.shape[1]} vs model {model.dim}"
-        )
+    candidates = model.check_candidates(candidates)
     members = predict_subset(c, model)
-    if members.size == candidates.shape[0]:
-        rows = candidates
-    else:
-        rows = candidates[members]
-    best = int(members[inner_product_argmax(c[None], rows)[0]])
+    best = int(members[inner_product_argmax(c[None], candidates[members])[0]])
     return SearchResult(best, inner_product(c, candidates[best]))
 
 

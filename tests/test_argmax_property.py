@@ -53,13 +53,13 @@ def test_serving_and_evaluation_assign_the_same_cluster(problem, data):
     # all K candidates), so a served subset names the cluster it came from
     kept = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     model = ScreeningModel(centroids, pack_subsets(np.diag(kept)), 0.5, k)
-    clusters, fallback = assign_clusters(contexts, model)
+    clusters = assign_clusters(contexts, model)
     for i, c in enumerate(contexts):
         want = naive_argmax(c, centroids)[0]
         served = predict_subset(c, model)
         expect = [want] if kept[want] else list(range(k))
         assert list(served) == expect
-        assert (clusters[i], fallback[i]) == (want, not kept[want])
+        assert clusters[i] == want
     if contexts.shape[0]:
         report = evaluate_model(model, contexts, centroids)
         served = [predict_subset(c, model) for c in contexts]

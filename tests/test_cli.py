@@ -225,6 +225,20 @@ class TestExitCodes:
         assert code == 1
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["alone", "exact"])
+    def test_model_without_screened_is_usage_error(self, corpus, capsys, mode):
+        code = run(
+            [
+                "search", *mode, "--model", "/nonexistent.scrn",
+                "--context-file", str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "search: --model requires --screened" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_is_data_error(self, capsys):
         code = run(
             [

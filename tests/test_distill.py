@@ -224,6 +224,12 @@ class TestTrainDistilled:
         # the teacher itself scores perfectly on its own ground truth
         assert recall_at_1(teacher, instances, pos_ctx, pool) == 1.0
 
+    def test_default_width_is_half_the_features_but_at_least_two(self):
+        rng = np.random.default_rng(69)
+        for f, width in ((2, 2), (3, 2), (12, 6)):
+            pairs = _random_pairs(rng, count=8, f=f)
+            assert train_distilled(pairs, None, DistillConfig(epochs=1)).encoder.dim == width
+
     def test_loss_trajectory_recorded(self):
         rng = np.random.default_rng(68)
         pairs = _random_pairs(rng, count=30)

@@ -4,6 +4,7 @@ the alternating trainer, and screened search."""
 import numpy as np
 import pytest
 
+from mipscreen.evaluate import evaluate_model
 from mipscreen.kmeans import KMeansConfig, spherical_kmeans
 from mipscreen.screening import (
     ScreeningModel,
@@ -417,6 +418,61 @@ class TestPredictAndSearch:
         model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
         with pytest.raises(ValueError, match="dimension mismatch: candidates 4 vs model 3"):
             screened_search(np.ones(3), model, np.ones((5, 4), dtype=np.float32))
+
+    def test_candidate_count_mismatch_message_is_shared(self):
+        rng = np.random.default_rng(56)
+        model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
+        candidates = rng.normal(size=(7, 3)).astype(np.float32)
+        contexts = rng.normal(size=(4, 3)).astype(np.float32)
+        trainset = ScreeningTrainSet(contexts, candidates, np.zeros(4))
+        for call in (
+            lambda: model.check_candidates(candidates),
+            lambda: screened_search(contexts[0], model, candidates),
+            lambda: evaluate_model(model, contexts, candidates),
+            lambda: total_loss(model, trainset),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "candidate count mismatch: candidates 7 vs model 5"
+
+    def test_check_candidates_returns_float32_matrix(self):
+        model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
+        got = model.check_candidates(np.ones((5, 3), dtype=np.float64))
+        assert got.dtype == np.float32 and got.shape == (5, 3)
+
+
+class TestEmptySubsetFallback:
+    """An empty stored subset is kept as stored, but its cluster searches
+    every candidate."""
+
+    def _model(self):
+        rng = np.random.default_rng(57)
+        bools = rng.random((3, 11)) < 0.5
+        bools[:, 0] = True
+        bools[1] = False
+        return make_model(rng.normal(size=(3, 4)), bools, 0.1), bools
+
+    def test_stored_bits_stay_empty(self, tmp_path):
+        model, bools = self._model()
+        model.member_indices  # the serving view must not write into the stored bits
+        np.testing.assert_array_equal(model.subset_bools, bools)
+        path = tmp_path / "empty.scrn"
+        save_model(model, path)
+        blob = path.read_bytes()
+        loaded = load_model(path)
+        assert not loaded.subset_bools[1].any()
+        save_model(loaded, path)
+        assert path.read_bytes() == blob
+
+    def test_empty_cluster_searches_everything(self):
+        model, bools = self._model()
+        np.testing.assert_array_equal(model.member_indices[1], np.arange(11))
+        assert model.subset_sizes[1] == 11
+        assert model.searched_bools[1].all()
+        for k in (0, 2):
+            np.testing.assert_array_equal(model.searched_bools[k], bools[k])
+            np.testing.assert_array_equal(model.member_indices[k], np.flatnonzero(bools[k]))
+            assert model.subset_sizes[k] == bools[k].sum()
 
 
 class TestLambdaMonotonicity:
