@@ -8,13 +8,22 @@ clustering initializer.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
 
 _CONTAINER_VERSION = 1
 
-_BLOCK_ROWS = 256  # bounds inner_product_argmax's float64 score buffer
+# Two bounds on inner_product_argmax's float64 working set. Candidate rows
+# are cast and scored one tile at a time: _TILE_ROWS rows, or up to twice
+# that for the last tile, which takes the remainder. A batch is cast and
+# scored one block of _BLOCK_ROWS queries at a time, so a score block holds
+# fewer than _BLOCK_ROWS x 2 x _TILE_ROWS values (16 MB). Tiles start on
+# multiples of a power of two; on OpenBLAS at one thread their scores were
+# observed bit-identical to the untiled product, which no test asserts.
+_TILE_ROWS = 4096
+_BLOCK_ROWS = 256
 
 
 def as_vector(v) -> np.ndarray:
@@ -52,19 +61,57 @@ def inner_product(u, v) -> float:
     return float(np.dot(u.astype(np.float64), v.astype(np.float64)))
 
 
+def inner_products(rows, vector) -> np.ndarray:
+    """Float64 inner product of every row with `vector`: one
+    matrix-vector product per tile of rows."""
+    vector64 = np.asarray(vector, dtype=np.float64)
+    # One tile: the tile loop and output buffer would add about 4 us per
+    # call, 12% of a screened query's latency (a subset of about 439 rows).
+    if rows.shape[0] < 2 * _TILE_ROWS:
+        return np.asarray(rows, dtype=np.float64) @ vector64
+    out = np.empty(rows.shape[0])
+    for start, tile in _tiles(rows):
+        np.matmul(tile, vector64, out=out[start : start + tile.shape[0]])
+    return out
+
+
 def inner_product_argmax(queries, rows) -> np.ndarray:
     """Index of the largest float64 inner product against `rows`, for
     every query row; ties go to the lowest index. Callers validate the
-    2-D shapes. One query is a matrix-vector product, a batch one matrix
-    product per block of query rows."""
-    rows64 = np.asarray(rows, dtype=np.float64)
+    2-D shapes. One query is `inner_products`; a batch is one matrix
+    product per block of query rows and tile of rows, each folded into a
+    running best with a strict `>`, so the earlier tile keeps a tie."""
     if queries.shape[0] == 1:
-        return (rows64 @ np.asarray(queries[0], dtype=np.float64)).argmax(keepdims=True)
-    out = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], _BLOCK_ROWS):
-        block = np.asarray(queries[start : start + _BLOCK_ROWS], dtype=np.float64)
-        out[start : start + block.shape[0]] = (block @ rows64.T).argmax(axis=1)
+        return inner_products(rows, queries[0]).argmax(keepdims=True)
+    out = np.zeros(queries.shape[0], dtype=np.int64)
+    best = np.full(queries.shape[0], -np.inf)
+    for offset, tile in _tiles(rows):
+        for start in range(0, queries.shape[0], _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = np.asarray(queries[start:stop], dtype=np.float64)
+            _fold(block @ tile.T, offset, best[start:stop], out[start:stop])
     return out
+
+
+def _fold(scores, offset, best, out):
+    """Fold one score block into its queries' running best score and
+    index, in place; a tie keeps the earlier index, and a NaN score
+    beats any number, as in `np.argmax`."""
+    idx = scores.argmax(axis=1)
+    top = scores[np.arange(idx.size), idx]
+    won = (top > best) | (np.isnan(top) & ~np.isnan(best))
+    best[won] = top[won]
+    out[won] = idx[won] + offset
+
+
+def _tiles(rows):
+    """(first row index, float64 copy) of each tile of rows. A tile is
+    _TILE_ROWS rows, except that the last one also takes the remainder:
+    OpenBLAS scored a short tile on another path, seen to round differently."""
+    starts = range(0, max(rows.shape[0] - _TILE_ROWS, 0) + 1, _TILE_ROWS)
+    for start in starts:
+        stop = rows.shape[0] if start == starts[-1] else start + _TILE_ROWS
+        yield start, np.asarray(rows[start:stop], dtype=np.float64)
 
 
 def sigmoid(x: float) -> float:
@@ -120,26 +167,28 @@ def write_container(path, magic: bytes, header_fmt: str, fields, blocks) -> None
 def read_container(path, magic: bytes, header_fmt: str, layout):
     """Header fields and payload arrays of a write_container file, after
     checking its magic, version byte and exact size. `layout(*fields)`
-    lists the payload blocks in order as (dtype, shape) pairs."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != magic:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) < 5 or blob[4] != _CONTAINER_VERSION:
-        version = blob[4] if len(blob) > 4 else "missing"
-        raise ValueError(f"unsupported {magic.decode()} version {version}")
+    lists the payload blocks in order as (dtype, shape) pairs. Each block
+    is read straight into its array, so the payload is allocated once."""
     offset = 5 + struct.calcsize(header_fmt)
-    if len(blob) < offset:
-        raise ValueError(f"truncated header: expected {offset} bytes, found {len(blob)}")
-    fields = struct.unpack_from(header_fmt, blob, 5)
-    blocks = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
-    expected = offset + sum(dt.itemsize * math.prod(shape) for dt, shape in blocks)
-    if len(blob) != expected:
-        raise ValueError(
-            f"truncated payload: expected {expected} bytes, found {len(blob)}"
-        )
-    arrays = []
-    for dtype, shape in blocks:
-        arrays.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape).copy())
-        offset += arrays[-1].nbytes
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+        size = os.fstat(fh.fileno()).st_size
+        if head[:4] != magic:
+            raise ValueError(f"bad magic {head[:4]!r}, expected {magic!r}")
+        if len(head) < 5 or head[4] != _CONTAINER_VERSION:
+            version = head[4] if len(head) > 4 else "missing"
+            raise ValueError(f"unsupported {magic.decode()} version {version}")
+        if len(head) < offset:
+            raise ValueError(f"truncated header: expected {offset} bytes, found {size}")
+        fields = struct.unpack_from(header_fmt, head, 5)
+        blocks = [(np.dtype(dtype), shape) for dtype, shape in layout(*fields)]
+        expected = offset + sum(dt.itemsize * math.prod(shape) for dt, shape in blocks)
+        if size == expected:
+            arrays = [np.empty(shape, dtype) for dtype, shape in blocks]
+            # recount from what was read, in case the file changed meanwhile
+            size = offset + sum(fh.readinto(arr.reshape(-1).view(np.uint8)) for arr in arrays)
+        if size != expected:
+            raise ValueError(
+                f"truncated payload: expected {expected} bytes, found {size}"
+            )
     return fields, arrays

@@ -97,11 +97,16 @@ def grid_sweep(
     base_cfg: TrainConfig = TrainConfig(),
 ) -> list:
     """One trained model per (K, lambda) cell, each evaluated on the
-    held-out contexts. A cell that fails to train is marked and skipped;
-    the sweep continues."""
+    held-out contexts, which are checked before any training. A cell that
+    fails to train is marked and skipped; the sweep continues."""
     if not len(k_list) or not len(lam_list):
         raise ValueError("k_list and lam_list must be non-empty")
     test_contexts = _contexts(test_contexts)
+    if test_contexts.shape[1] != trainset.contexts.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: test contexts {test_contexts.shape[1]} vs "
+            f"train set {trainset.contexts.shape[1]}"
+        )
     cells = []
     for k in sorted(set(int(v) for v in k_list)):
         for lam in sorted(set(float(v) for v in lam_list)):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, as_vector, inner_product, inner_product_argmax
+from .core import as_matrix, as_vector, inner_product, inner_product_argmax, inner_products
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def top_k(c, candidates, k: int) -> list:
             f"dimension mismatch: context {c.shape[0]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    scores = candidates.astype(np.float64) @ c.astype(np.float64)
+    scores = inner_products(candidates, c)
     # stable sort on negated scores keeps index-ascending order inside ties
     order = np.argsort(-scores, kind="stable")[:k]
     return [SearchResult(int(i), float(scores[i])) for i in order]

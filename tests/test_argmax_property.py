@@ -3,17 +3,23 @@ oracle, ties and duplicated rows included.
 
 Rows hold small integers, so every float64 sum is exact and a tie in the
 oracle is a real tie in the kernel: the lowest index must win everywhere.
+The tiled kernel is also checked on random floats, against the argmax of
+the untiled float64 product.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipscreen import core
 from mipscreen.evaluate import evaluate_model
 from mipscreen.kmeans import assign_all, hard_assign
 from mipscreen.screening import ScreeningModel, assign_clusters, pack_subsets, predict_subset
-from mipscreen.search import argmax_batch, exact_argmax
-from oracles import naive_argmax
+from mipscreen.search import argmax_batch, exact_argmax, top_k
+from oracles import naive_argmax, naive_matvec
 
 
 @st.composite
@@ -75,3 +81,60 @@ def test_batches_longer_than_one_block_match_oracle():
     queries = rng.integers(-2, 3, size=(700, 3)).astype(np.float32)
     want = [naive_argmax(q, rows)[0] for q in queries]
     np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+
+
+@pytest.fixture
+def tied_tiles(monkeypatch):
+    """23 small-integer rows scored in tiles of 4 (the last tile takes
+    rows 16-22), with equal best rows on both sides of the boundaries at
+    4, 8 and 16 and a repeat inside the last tile."""
+    monkeypatch.setattr(core, "_TILE_ROWS", 4)
+    rows = np.random.default_rng(91).integers(-1, 2, size=(23, 3)).astype(np.float32)
+    rows[[3, 4]] = (2, 2, 2)
+    rows[[7, 8]] = (2, -2, 0)
+    rows[[15, 16, 20]] = (-2, 0, 2)
+    return rows
+
+
+_EVERY_QUERY = np.array(list(itertools.product(range(-2, 3), repeat=3)), dtype=np.float32)
+
+
+def test_single_queries_across_tile_boundaries_match_oracle(tied_tiles):
+    rows = tied_tiles
+    for q in _EVERY_QUERY:
+        assert exact_argmax(q, rows).index == naive_argmax(q, rows)[0]
+        scores = naive_matvec(rows, q)
+        want = sorted(range(rows.shape[0]), key=lambda j: (-scores[j], j))
+        assert [r.index for r in top_k(q, rows, rows.shape[0])] == want
+
+
+# 513 = 2 * 256 + 1: the last query block is a single row
+@pytest.mark.parametrize(
+    "queries",
+    [_EVERY_QUERY, np.random.default_rng(92).integers(-2, 3, size=(513, 3)).astype(np.float32)],
+    ids=["every-query", "513-queries"],
+)
+def test_batches_across_tile_boundaries_match_oracle(tied_tiles, queries):
+    want = [naive_argmax(q, tied_tiles)[0] for q in queries]
+    np.testing.assert_array_equal(argmax_batch(queries, tied_tiles), want)
+
+
+def test_first_nan_score_wins_across_tiles(tied_tiles):
+    # np.argmax over the untiled scores returns the first NaN
+    rows = tied_tiles.copy()
+    rows[[9, 14], 0] = np.nan
+    np.testing.assert_array_equal(argmax_batch(_EVERY_QUERY, rows), 9)
+
+
+@pytest.mark.parametrize("dim", [7, 32, 33])
+def test_tiled_kernel_matches_untiled_product(dim):
+    # 30001 is not a multiple of the tile: seven tiles, the last 5425 rows
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(30001, dim)).astype(np.float32)
+    queries = rng.normal(size=(300, dim)).astype(np.float32)
+    rows64, queries64 = rows.astype(np.float64), queries.astype(np.float64)
+    want = np.concatenate([(queries64[s : s + 100] @ rows64.T).argmax(axis=1)
+                           for s in range(0, 300, 100)])
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+    for q, q64 in zip(queries[:20], queries64):
+        assert exact_argmax(q, rows).index == (rows64 @ q64).argmax()

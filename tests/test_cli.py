@@ -310,6 +310,19 @@ class TestInputMismatch:
         _assert_one_line_data_error(argv, capsys, "need at least one context")
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_grid_test_contexts_dimension(self, corpus, tmp_path, capsys):
+        wide = tmp_path / "wide.emb"
+        write_embeddings(np.ones((5, 10), dtype=np.float32), wide)
+        argv = ["grid", "--train-contexts", str(corpus / "train_contexts.emb"),
+                "--test-contexts", str(wide),
+                "--candidates", str(corpus / "candidates.emb"),
+                "--labels", str(corpus / "labels.txt"),
+                "--k", "2,3", "--lambda", "1e-3",
+                "--report", str(tmp_path / "grid.csv")]
+        _assert_one_line_data_error(
+            argv, capsys, "dimension mismatch: test contexts 10 vs train set 8")
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_eval_screen_model_dimension(self, corpus, tmp_path, capsys):
         argv = ["eval-screen", "--model", str(self._model(tmp_path, 5)),
                 "--contexts", str(corpus / "test_contexts.emb"),

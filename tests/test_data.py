@@ -1,5 +1,7 @@
 """Persistence formats, the counter RNG, and the synthetic generators."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,18 @@ class TestEmbeddingsIO:
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
         with pytest.raises(ValueError, match=rf"expected {len(blob)} bytes, found {len(blob) - 7}"):
+            read_embeddings(path)
+
+    def test_trailing_byte_and_oversized_header_name_sizes(self, tmp_path):
+        path = tmp_path / "long.emb"
+        write_embeddings(np.ones((4, 3), dtype=np.float32), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match=rf"expected {len(blob)} bytes, found {len(blob) + 1}"):
+            read_embeddings(path)
+        # the size check runs before any payload is allocated
+        path.write_bytes(blob[:5] + struct.pack("<II", 2**31, 2**31) + blob[13:])
+        with pytest.raises(ValueError, match=rf"expected {13 + 4 * 2**62} bytes, found {len(blob)}"):
             read_embeddings(path)
 
     def test_bad_magic(self, tmp_path):

@@ -135,6 +135,15 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="need at least one context"):
             grid_sweep(trainset, empty, [2], [1e-4])
 
+    def test_grid_rejects_test_dimension_before_training(self, small_world, monkeypatch):
+        trainset, _ = small_world
+        trained = []
+        monkeypatch.setattr("mipscreen.evaluate.train", lambda *a: trained.append(a))
+        wrong = np.ones((5, trainset.contexts.shape[1] + 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="dimension mismatch: test contexts 10 vs train set 8"):
+            grid_sweep(trainset, wrong, [2, 3], [1e-4])
+        assert trained == []
+
     def test_model_dimension_mismatch_rejected(self):
         model = make_model(np.ones((2, 3)), np.ones((2, 5)))
         contexts = np.ones((4, 6), dtype=np.float32)

@@ -90,6 +90,17 @@ class TestTopK:
             longer = [r.index for r in top_k(c, candidates, k + 1)]
             assert longer[:k] == shorter
 
+    def test_tiled_scores_match_untiled_product(self):
+        # 30001 is not a multiple of the tile: seven tiles, the last 5425 rows
+        rng = np.random.default_rng(17)
+        candidates = rng.normal(size=(30001, 32)).astype(np.float32)
+        c = rng.normal(size=32).astype(np.float32)
+        scores = candidates.astype(np.float64) @ c.astype(np.float64)
+        want = np.argsort(-scores, kind="stable")[:10]
+        results = top_k(c, candidates, 10)
+        assert [r.index for r in results] == want.tolist()
+        np.testing.assert_allclose([r.score for r in results], scores[want], rtol=1e-14)
+
     def test_k_out_of_range(self):
         candidates = np.ones((3, 2), dtype=np.float32)
         for k in (0, 4):
