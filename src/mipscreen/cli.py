@@ -14,7 +14,8 @@ from . import data as dio
 from . import distill as dst
 from . import evaluate as ev
 from . import screening as scr
-from .search import exact_argmax
+from .core import inner_product
+from .search import argmax_batch
 
 
 class _UsageError(Exception):
@@ -273,13 +274,12 @@ def _cmd_search(args) -> int:
     if candidates.shape[0] < 1:
         raise ValueError(f"candidate file {args.candidates} is empty")
     if args.screened:
-        model = _load_model(args.model, candidates)
-    for c in contexts:
-        if args.screened:
-            r = scr.screened_search(c, model, candidates)
-        else:
-            r = exact_argmax(c, candidates)
-        print(f"{r.index} {r.score:.6f}")
+        indices = scr.screened_search_batch(contexts, _load_model(args.model, candidates), candidates)
+    else:
+        indices = argmax_batch(contexts, candidates)
+    sys.stdout.write("".join(
+        f"{i} {inner_product(c, candidates[i]):.6f}\n" for c, i in zip(contexts, indices)
+    ))
     return 0
 
 

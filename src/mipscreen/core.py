@@ -1,27 +1,36 @@
 """Vector primitives and the binary container codec shared by every
 other module.
 
-Embeddings are stored as float32 rows; all dot products accumulate in
-float64. Nothing here normalizes vectors for scoring: raw inner products
-are the scoring currency, and unit-norm vectors only appear inside the
-clustering initializer.
+Embeddings are stored as float32 rows. `inner_product_argmax`, behind
+every search, assignment and label, returns the row with the largest
+exact inner product of the float32 values, the lowest index on an exact
+tie, whatever the product shape or the BLAS thread count: it scores in
+float32 and re-decides exactly every query that rounding could have
+misled. Reported scores (`inner_product`, `inner_products`) accumulate
+in float64. Nothing here normalizes vectors for scoring: raw inner
+products are the scoring currency, and unit-norm vectors only appear
+inside the clustering initializer.
 """
 
+import functools
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
 _CONTAINER_VERSION = 1
 
-# Two bounds on inner_product_argmax's float64 working set. Candidate rows
-# are cast and scored one tile at a time: _TILE_ROWS rows, or up to twice
-# that for the last tile, which takes the remainder. A batch is cast and
-# scored one block of _BLOCK_ROWS queries at a time, so a score block holds
-# fewer than _BLOCK_ROWS x 2 x _TILE_ROWS values (16 MB). Tiles start on
-# multiples of a power of two; on OpenBLAS at one thread their scores were
-# observed bit-identical to the untiled product, which no test asserts.
+# Two bounds on inner_product_argmax's working set. Candidate rows are
+# scored one tile at a time: _TILE_ROWS rows, or up to twice that for the
+# last tile, which takes the remainder. A batch is scored one block of
+# queries at a time: _BLOCK_ROWS against a full tile, and proportionally
+# more against a short one (k-means' centroids, a screened subset), so a
+# score block holds fewer than _BLOCK_ROWS x 2 x _TILE_ROWS values. Neither
+# bound changes a result: the winner is the largest exact inner product,
+# and the lowest index wins an exact tie, whatever the tile, the product
+# shape or the BLAS thread count.
 _TILE_ROWS = 4096
 _BLOCK_ROWS = 256
 
@@ -62,56 +71,264 @@ def inner_product(u, v) -> float:
 
 
 def inner_products(rows, vector) -> np.ndarray:
-    """Float64 inner product of every row with `vector`: one
-    matrix-vector product per tile of rows."""
+    """Float64 inner product of every row with `vector` (`search.top_k`'s
+    scores): one matrix-vector product per tile of rows, so no float64
+    copy of all the rows."""
     vector64 = np.asarray(vector, dtype=np.float64)
-    # One tile: the tile loop and output buffer would add about 4 us per
-    # call, 12% of a screened query's latency (a subset of about 439 rows).
-    if rows.shape[0] < 2 * _TILE_ROWS:
-        return np.asarray(rows, dtype=np.float64) @ vector64
     out = np.empty(rows.shape[0])
     for start, tile in _tiles(rows):
-        np.matmul(tile, vector64, out=out[start : start + tile.shape[0]])
+        np.matmul(tile.astype(np.float64), vector64, out=out[start : start + tile.shape[0]])
     return out
 
 
 def inner_product_argmax(queries, rows) -> np.ndarray:
-    """Index of the largest float64 inner product against `rows`, for
-    every query row; ties go to the lowest index. Callers validate the
-    2-D shapes. One query is `inner_products`; a batch is one matrix
-    product per block of query rows and tile of rows, each folded into a
-    running best with a strict `>`, so the earlier tile keeps a tie."""
+    """Index of the largest exact inner product against `rows`, for every
+    query row; an exact tie goes to the lowest index. Callers validate the
+    2-D shapes; a non-finite entry raises ValueError.
+
+    Scores are computed in the inputs' own dtype (float32 for embeddings)
+    one tile of rows at a time, and trusted only up to `_Rounding`'s
+    bound, which holds in every summation order, so on every BLAS path.
+    Each query keeps an interval around its running winner's exact score.
+    Float scores decide a tile when its top row's interval lies above the
+    tile's runner-up and the running winner, or below the running winner
+    (`_verdict`); otherwise `_settle` re-decides the query exactly. One
+    query takes a lean scalar branch; a batch is one matrix product per
+    block of query rows and tile of rows.
+    """
+    if queries.dtype != rows.dtype:
+        dtype = np.result_type(queries, rows)
+        queries, rows = queries.astype(dtype), rows.astype(dtype)
+    rounding = _rounding(rows.dtype, rows.shape[1])
     if queries.shape[0] == 1:
-        return inner_products(rows, queries[0]).argmax(keepdims=True)
-    out = np.zeros(queries.shape[0], dtype=np.int64)
-    best = np.full(queries.shape[0], -np.inf)
+        return np.array([_argmax_one(queries[0], rows, rounding)])
+    return _argmax_batch(queries, rows, rounding)
+
+
+class _Rounding(NamedTuple):
+    """|fl(q.c) - q.c| <= gamma |q| |c| + floor for a length-d inner
+    product summed in any order, with gamma = d u / (1 - d u) for unit
+    roundoff u (rounded up 1% for the float64 arithmetic of the norms and
+    the bound) and floor = d times the smallest subnormal. Below `limit`
+    no partial sum can overflow."""
+
+    dtype: np.dtype
+    d: int
+    unit: float
+    gamma: float
+    floor: float
+    limit: float
+
+    def bound(self, qnorm, cnorm):
+        return self.gamma * qnorm * cnorm + self.floor
+
+    def wider(self) -> "_Rounding":
+        """The float64 rounding a search is redone in once a float32
+        score may overflow; products of float32 values cannot overflow it."""
+        if self.dtype == np.float64:
+            raise ValueError("inner products too large to bound in float64")
+        return _rounding(np.dtype(np.float64), self.d)
+
+
+@functools.cache
+def _rounding(dtype, d) -> _Rounding:
+    info = np.finfo(dtype)
+    unit = float(info.eps) / 2
+    gamma = 1.01 * d * unit / (1 - d * unit) if d * unit < 0.5 else math.inf
+    floor = d * float(info.smallest_subnormal)
+    return _Rounding(dtype, d, unit, gamma, floor, gamma * float(info.max) / 2 + floor)
+
+
+def _verdict(top, runner, e, best, err):
+    """(won, decided) for a tile, from its top and runner-up float scores,
+    each within `e` of exact, and the running winner's exact score, within
+    `err` of `best` (None before the first tile). won: the tile's top row
+    beats every row seen so far. decided: won, or every row of the tile
+    loses to the running winner. Scalars or arrays; NaN reads as undecided."""
+    won = top - runner > 2 * e
+    if best is None:
+        return won, won
+    won = won & (top - e > best + err)
+    return won, won | (top + e < best - err)
+
+
+def _argmax_one(q, rows, rounding) -> int:
+    qq = float(np.vdot(q, q))
+    out, best, err = 0, None, None  # the running winner; its exact score is best +- err
     for offset, tile in _tiles(rows):
-        for start in range(0, queries.shape[0], _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            block = np.asarray(queries[start:stop], dtype=np.float64)
-            _fold(block @ tile.T, offset, best[start:stop], out[start:stop])
+        # Frobenius bound from one pass and no checks, to keep one query
+        # cheap: a non-finite entry makes it NaN or inf, caught right below
+        sq = _inflate(qq * float(np.vdot(tile, tile)), q.size + tile.size, rounding.unit)
+        e = rounding.bound(math.sqrt(sq), 1.0)
+        if not e < rounding.limit:
+            check_finite(q, "contexts")
+            check_finite(tile, "candidates")
+            wider = rounding.wider()
+            return _argmax_one(q.astype(wider.dtype), rows.astype(wider.dtype), wider)
+        scores = np.dot(tile, q)
+        i = int(scores.argmax())
+        top = float(scores[i])
+        scores[i] = -np.inf
+        runner = float(scores[scores.argmax()])  # cheaper than max() on a short row
+        won, decided = _verdict(top, runner, e, best, err)
+        if not decided:  # the row norms give a tighter bound
+            qnorm = _norm_bound(q, rounding.unit, "contexts")
+            e_rows = rounding.bound(qnorm, _row_norms(tile, rounding.unit, "candidates"))
+            e = float(e_rows.max())
+            won, decided = _verdict(top, runner, e, best, err)
+            if not decided:
+                scores[i] = top
+                cur = None if best is None else (out, best, err)
+                out, best, err = _settle(q, rows, offset, scores, e_rows, cur)
+        if won:
+            out, best, err = offset + i, top, e
     return out
 
 
-def _fold(scores, offset, best, out):
-    """Fold one score block into its queries' running best score and
-    index, in place; a tie keeps the earlier index, and a NaN score
-    beats any number, as in `np.argmax`."""
-    idx = scores.argmax(axis=1)
-    top = scores[np.arange(idx.size), idx]
-    won = (top > best) | (np.isnan(top) & ~np.isnan(best))
-    best[won] = top[won]
-    out[won] = idx[won] + offset
+def _argmax_batch(queries, rows, rounding) -> np.ndarray:
+    m = queries.shape[0]
+    out = np.zeros(m, dtype=np.int64)
+    best, err = np.empty(m), np.empty(m)  # the running winner's exact score is best +- err
+    qnorms = None  # query norms, computed once a Frobenius bound is too loose
+    for offset, tile in _tiles(rows):
+        frobenius = _norm_bound(tile, rounding.unit, "candidates")
+        norms = None  # and the tile's row norms
+        height = _BLOCK_ROWS * max(1, _TILE_ROWS // tile.shape[0])
+        rank = np.arange(min(m, height))
+        for start in range(0, m, height):
+            blk = slice(start, start + height)
+            block = queries[blk]
+            e = rounding.bound(_norm_bound(block, rounding.unit, "contexts"), frobenius)
+            if not e < rounding.limit:
+                wider = rounding.wider()
+                return _argmax_batch(queries.astype(wider.dtype), rows.astype(wider.dtype), wider)
+            scores = block @ tile.T
+            idx = scores.argmax(axis=1)
+            pick = (rank[: idx.size], idx)
+            top = scores[pick].astype(np.float64, copy=False)  # so top - e is not rounded to float32
+            scores[pick] = -np.inf
+            runner = scores[pick[0], scores.argmax(axis=1)]  # cheaper than max(axis=1)
+            running = (best[blk], err[blk]) if offset else (None, None)
+            won, decided = _verdict(top, runner, e, *running)
+            if not decided.all():
+                if qnorms is None:
+                    qnorms = _row_norms(queries, rounding.unit, "contexts")
+                if norms is None:
+                    norms = _row_norms(tile, rounding.unit, "candidates")
+                    max_norm = float(norms.max())
+                e = rounding.bound(qnorms[blk], max_norm)
+                won, decided = _verdict(top, runner, e, *running)
+            if offset == 0:  # nothing to lose to yet: write the tile straight in
+                out[blk], best[blk], err[blk] = idx, top, e
+            else:
+                np.copyto(out[blk], idx + offset, where=won)
+                np.copyto(best[blk], top, where=won)
+                np.copyto(err[blk], e, where=won)
+            for j in np.flatnonzero(~decided):
+                scores[j, idx[j]] = top[j]
+                q = start + j
+                cur = (out[q], best[q], err[q]) if offset else None
+                e = rounding.bound(qnorms[q], norms)
+                out[q], best[q], err[q] = _settle(queries[q], rows, offset, scores[j], e, cur)
+    return out
+
+
+def _settle(q, rows, offset, scores, e, cur):
+    """(index, best, err) of the exact winner among the running winner
+    `cur` = (index, best, err), None before the first tile, and the tile
+    of rows starting at `offset`, whose float `scores` are each within
+    their `e` of exact: only rows that could reach the highest lower bound
+    are compared exactly."""
+    if not q.any():  # every row ties exactly at 0: the lowest index wins
+        return (offset if cur is None else cur[0]), 0.0, 0.0
+    scores = scores.astype(np.float64, copy=False)  # so scores - e is not rounded to float32
+    low = (scores - e).max()
+    if cur is not None:
+        low = max(low, cur[1] - cur[2])
+    band = offset + np.flatnonzero(scores + e >= low)
+    if cur is not None and cur[1] + cur[2] >= low:
+        band = np.concatenate(([cur[0]], band))
+    win, exact = _exact_winner(q, rows[band])
+    return int(band[win]), exact, math.ulp(exact)
+
+
+def _exact_winner(q, rows):
+    """Position of the row with the largest exact inner product with q,
+    the first on a tie, and that product rounded to float64. Rows with the
+    same terms tie, so only the first of each is compared. `math.fsum`
+    rounds correctly, so the sign of a difference of two rows' terms is
+    exact."""
+    terms = _exact_terms(q, rows) + 0.0  # -0.0 to 0.0, so equal terms have equal bytes
+    key = terms.view(np.dtype((np.void, terms.shape[1] * terms.itemsize))).ravel()
+    first = np.sort(np.unique(key, return_index=True)[1])
+    terms = terms[first].tolist()
+    win, minus = 0, [-t for t in terms[0]]
+    for k in range(1, len(terms)):
+        if math.fsum(terms[k] + minus) > 0:
+            win, minus = k, [-t for t in terms[k]]
+    return int(first[win]), math.fsum(terms[win])
+
+
+def _exact_terms(q, rows):
+    """Float64 terms whose sum along each row is exactly q . row. A
+    float32 x float32 product is exact in float64; a float64 product
+    comes with its rounding error, by Dekker's two-product (exact while no
+    entry exceeds about 1e300)."""
+    prod = rows.astype(np.float64) * q.astype(np.float64)
+    if rows.dtype == np.float32:
+        return prod
+    (qh, ql), (rh, rl) = _halves(q), _halves(rows)
+    error = ((rh * qh - prod) + rh * ql + rl * qh) + rl * ql
+    return np.concatenate((prod, error), axis=1)
+
+
+def _halves(x):
+    """Dekker's split of float64 values into high and low halves whose
+    pairwise products are exact."""
+    big = x * 134217729.0  # 2**27 + 1
+    high = big - (big - x)
+    return high, x - high
+
+
+def _inflate(sq, n, unit):
+    """Upper bound on a sum of n squares whose float sum is `sq`."""
+    return sq / (1 - 2 * n * unit) if 2 * n * unit < 1 else math.inf
+
+
+def _norm_bound(x, unit, name) -> float:
+    """Upper bound on the Euclidean norm of all of x's entries, from one
+    dot product; it doubles as the check that x is finite."""
+    sq = float(np.vdot(x, x))
+    if not math.isfinite(sq):
+        check_finite(x, name)  # finite entries whose squares overflowed
+        x = x.astype(np.float64)
+        sq = float(np.vdot(x, x))
+    return math.sqrt(_inflate(sq, x.size, unit))
+
+
+def _row_norms(m, unit, name) -> np.ndarray:
+    """Float64 upper bounds on the row norms of m; a non-finite entry
+    raises."""
+    sq = np.einsum("ij,ij->i", m, m)
+    if not np.isfinite(sq).all():
+        check_finite(m, name)  # finite rows whose squares overflowed
+        sq = np.einsum("ij,ij->i", m, m, dtype=np.float64)
+    return np.sqrt(_inflate(sq.astype(np.float64), m.shape[1], unit))
 
 
 def _tiles(rows):
-    """(first row index, float64 copy) of each tile of rows. A tile is
+    """(first row index, rows) of each tile, in order. A tile is
     _TILE_ROWS rows, except that the last one also takes the remainder:
-    OpenBLAS scored a short tile on another path, seen to round differently."""
-    starts = range(0, max(rows.shape[0] - _TILE_ROWS, 0) + 1, _TILE_ROWS)
-    for start in starts:
-        stop = rows.shape[0] if start == starts[-1] else start + _TILE_ROWS
-        yield start, np.asarray(rows[start:stop], dtype=np.float64)
+    OpenBLAS scored a short float64 tile on another path, seen to round
+    differently from the untiled product (`inner_products`)."""
+    n = rows.shape[0]
+    if n < 2 * _TILE_ROWS:
+        # one tile, returned as is: a screened query searches two short row
+        # sets, and a generator here cost it 3.3 us more (interleaved
+        # screened_search A/B, one BLAS thread)
+        return ((0, rows),)
+    last = (n // _TILE_ROWS - 1) * _TILE_ROWS
+    return [(s, rows[s : n if s == last else s + _TILE_ROWS]) for s in range(0, last + 1, _TILE_ROWS)]
 
 
 def sigmoid(x: float) -> float:

@@ -346,8 +346,25 @@ def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
     c = as_vector(c)
     candidates = model.check_candidates(candidates)
     members = predict_subset(c, model)
-    best = int(members[inner_product_argmax(c[None], candidates[members])[0]])
+    # take() gathers rows about twice as fast as fancy indexing
+    best = int(members[inner_product_argmax(c[None], candidates.take(members, axis=0))[0]])
     return SearchResult(best, inner_product(c, candidates[best]))
+
+
+def screened_search_batch(contexts, model: ScreeningModel, candidates) -> np.ndarray:
+    """`screened_search` indices for every context row: one assignment
+    call, then one argmax call per cluster over its queries and its
+    searched rows, gathered once."""
+    contexts = as_matrix(contexts)
+    candidates = model.check_candidates(candidates)
+    clusters = assign_clusters(contexts, model)
+    out = np.empty(contexts.shape[0], dtype=np.int64)
+    for k in np.unique(clusters):
+        group = np.flatnonzero(clusters == k)
+        members = model.member_indices[k]
+        rows = candidates.take(members, axis=0)
+        out[group] = members[inner_product_argmax(contexts[group], rows)]
+    return out
 
 
 def save_model(model: ScreeningModel, path) -> None:

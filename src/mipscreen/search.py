@@ -1,15 +1,15 @@
 """Brute-force maximum-inner-product search and ranking evaluation.
 
 The exact search here is the ground-truth oracle that screening quality is
-measured against, so it stays deliberately simple: full float64 scoring,
-ties resolved to the lowest candidate index.
+measured against: the largest exact inner product (see
+`core.inner_product_argmax`), ties resolved to the lowest candidate index.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, as_vector, inner_product, inner_product_argmax, inner_products
+from .core import as_matrix, as_vector, check_finite, inner_product, inner_product_argmax, inner_products
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,11 @@ def top_k(c, candidates, k: int) -> list:
             f"dimension mismatch: context {c.shape[0]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    scores = inner_products(candidates, c)
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below
+        scores = inner_products(candidates, c)
+    if not np.isfinite(scores).all():  # float32 inputs cannot overflow float64
+        check_finite(c, "contexts")
+        check_finite(candidates, "candidates")
     # stable sort on negated scores keeps index-ascending order inside ties
     order = np.argsort(-scores, kind="stable")[:k]
     return [SearchResult(int(i), float(scores[i])) for i in order]

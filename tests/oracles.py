@@ -7,6 +7,7 @@ checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,19 @@ def naive_argmax(context, candidates):
         score = 0.0
         for a, b in zip(context, row):
             score += float(a) * float(b)
+        if best_score is None or score > best_score:
+            best_idx, best_score = i, score
+    return best_idx, best_score
+
+
+def exact_argmax(context, candidates):
+    """Search in rational arithmetic: every float converts to a Fraction
+    exactly, so each inner product is exact; ties to the lowest index.
+    Returns (index, exact score)."""
+    q = [Fraction(float(a)) for a in context]
+    best_idx, best_score = 0, None
+    for i, row in enumerate(candidates):
+        score = sum((a * Fraction(float(b)) for a, b in zip(q, row)), Fraction(0))
         if best_score is None or score > best_score:
             best_idx, best_score = i, score
     return best_idx, best_score

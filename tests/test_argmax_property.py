@@ -119,11 +119,24 @@ def test_batches_across_tile_boundaries_match_oracle(tied_tiles, queries):
     np.testing.assert_array_equal(argmax_batch(queries, tied_tiles), want)
 
 
-def test_first_nan_score_wins_across_tiles(tied_tiles):
-    # np.argmax over the untiled scores returns the first NaN
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected_across_tiles(tied_tiles, bad):
     rows = tied_tiles.copy()
-    rows[[9, 14], 0] = np.nan
-    np.testing.assert_array_equal(argmax_batch(_EVERY_QUERY, rows), 9)
+    rows[14, 0] = bad  # the fourth tile, after three clean ones
+    with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+        argmax_batch(_EVERY_QUERY, rows)
+    for q in (_EVERY_QUERY[0], np.zeros(3, dtype=np.float32)):
+        with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+            exact_argmax(q, rows)
+        with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+            top_k(q, rows, 3)
+    queries = _EVERY_QUERY.copy()
+    queries[100, 2] = bad
+    with pytest.raises(ValueError, match="^contexts contains non-finite entries$"):
+        argmax_batch(queries, tied_tiles)
+    for run in (exact_argmax, lambda q, r: top_k(q, r, 3)):
+        with pytest.raises(ValueError, match="^contexts contains non-finite entries$"):
+            run(queries[100], tied_tiles)
 
 
 @pytest.mark.parametrize("dim", [7, 32, 33])
