@@ -81,6 +81,54 @@ def inner_products(rows, vector) -> np.ndarray:
     return out
 
 
+def inner_product_top_k(q, rows, k):
+    """(indices, float64 scores from `inner_products`) of the k rows with
+    the largest exact inner products with the vector q, in decreasing
+    order, the lowest index first on an exact tie. A non-finite entry
+    raises ValueError.
+
+    Rows are ranked by their float64 scores, each within a bound e of
+    exact. Neighbours in that ranking more than 2e apart are in exact
+    order; each run of closer neighbours is re-sorted exactly, and a run
+    that crosses the k-th row is first followed to its end.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below
+        scores = inner_products(rows, q)
+    if not np.isfinite(scores).all():  # float32 inputs cannot overflow float64
+        check_finite(q, "contexts")
+        check_finite(rows, "candidates")
+    order = np.argsort(-scores, kind="stable")
+    unit = _rounding(rows.dtype, q.size).unit
+    e = _rounding(np.dtype(np.float64), q.size).bound(
+        _norm_bound(q, unit, "contexts"), float(_row_norms(rows, unit, "candidates").max())
+    )
+    near = -np.diff(scores[order]) <= 2 * e  # near[j]: rows j and j + 1 may swap
+    stops = np.flatnonzero(~near[k - 1 :])
+    end = k + int(stops[0]) if stops.size else order.size
+    top = order[:end]
+    edges = np.diff(np.concatenate(([False], near[: end - 1], [False])).astype(np.int8))
+    for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        top[lo : hi + 1] = _exact_order(q, rows, top[lo : hi + 1])
+    top = top[:k]
+    return top, scores[top]
+
+
+def _exact_order(q, rows, idx):
+    """idx sorted by the exact inner product of its rows with q, largest
+    first, the lowest index first on a tie; pairs are compared as in
+    `_exact_winner`."""
+    if not q.any():  # every row ties exactly at 0
+        return np.sort(idx)
+    terms = _exact_terms(q, rows[idx])
+    plus, minus, ids = terms.tolist(), (-terms).tolist(), idx.tolist()
+
+    def compare(a, b):
+        gap = math.fsum(plus[a] + minus[b])
+        return -1 if gap > 0 else 1 if gap < 0 else ids[a] - ids[b]
+
+    return idx[sorted(range(len(ids)), key=functools.cmp_to_key(compare))]
+
+
 def inner_product_argmax(queries, rows) -> np.ndarray:
     """Index of the largest exact inner product against `rows`, for every
     query row; an exact tie goes to the lowest index. Callers validate the
@@ -341,14 +389,13 @@ def sigmoid(x: float) -> float:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized stable logistic for float64 arrays."""
+    """Vectorized stable logistic for float64 arrays, branch-free: with
+    e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, so
+    no exponent is positive."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def score_dual(c, r) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_finite, normalize_rows, read_container, write_container
-from .distill import PairSet, PlantedTeacher, teacher_favorite
+from .distill import PairSet, PlantedTeacher, teacher_favorites
 from .search import argmax_batch
 
 _EMB_MAGIC = b"EMB1"
@@ -202,9 +202,8 @@ def _pair_split(spec: PairSpec, teacher, count: int, seed: int) -> PairSet:
     negs[:, 0] = 1.0
 
     ctx32 = ctx.astype(np.float32)
-    pos = np.empty((count, f), dtype=np.float32)
-    for i in range(count):
-        pos[i] = cands[i, teacher_favorite(teacher, ctx32[i], cands[i].astype(np.float32))]
+    favorites = teacher_favorites(teacher, ctx32, cands.astype(np.float32))
+    pos = cands[np.arange(count), favorites].astype(np.float32)
 
     ctx_rows = np.repeat(ctx32, 2, axis=0)
     resp_rows = np.empty((2 * count, f), dtype=np.float32)

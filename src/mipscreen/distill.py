@@ -19,6 +19,10 @@ from .search import RankingInstance
 _MAGIC = b"DENC"
 _CLAMP = 1e-12
 _HIDDEN = 32  # PlantedTeacher's hidden width
+# contexts per teacher call in teacher_favorites: blocks of 512 keep the
+# teacher's float64 work arrays cache-sized; one call over the 20k contexts
+# of distill-pairs took 1.8x as long (one BLAS thread)
+_FAVORITE_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +166,10 @@ def encode(encoder: DualEncoder, features, side: str) -> np.ndarray:
 
 
 def _embed_and_score(w_ctx, w_resp, ctx, resp):
-    """Float64 embeddings of both sides and their row-wise dual scores."""
-    ce = ctx @ np.asarray(w_ctx, dtype=np.float64)
-    re = resp @ np.asarray(w_resp, dtype=np.float64)
+    """Embeddings of both sides and their row-wise dual scores; every
+    input is float64."""
+    ce = ctx @ w_ctx
+    re = resp @ w_resp
     return ce, re, sigmoid_array(np.einsum("ij,ij->i", ce, re))
 
 
@@ -172,7 +177,23 @@ def pair_scores(encoder: DualEncoder, ctx_features, resp_features) -> np.ndarray
     """Row-wise dual scores sigmoid(ctx_emb . resp_emb) in float64."""
     ctx = as_matrix(ctx_features).astype(np.float64)
     resp = as_matrix(resp_features).astype(np.float64)
-    return _embed_and_score(encoder.w_ctx, encoder.w_resp, ctx, resp)[2]
+    w_ctx, w_resp = encoder.w_ctx.astype(np.float64), encoder.w_resp.astype(np.float64)
+    return _embed_and_score(w_ctx, w_resp, ctx, resp)[2]
+
+
+def _sgd_step(w_ctx, w_resp, ctx, resp, sc, y, beta):
+    """(dual scores, gradient w.r.t. w_ctx, gradient w.r.t. w_resp) of the
+    mean distillation loss over one batch; every input is float64.
+
+    The derivative of the BCE term through the sigmoid collapses to
+    (score - label), so no clamping enters the gradient path.
+    """
+    ce, re, s = _embed_and_score(w_ctx, w_resp, ctx, resp)
+    dq = 2.0 * beta * (s - sc) * s * (1.0 - s) + (s - y)
+    p = ctx.shape[0]
+    g_ctx = ctx.T @ (dq[:, None] * re) / p
+    g_resp = resp.T @ (dq[:, None] * ce) / p
+    return s, g_ctx, g_resp
 
 
 def loss_and_gradients(
@@ -185,21 +206,14 @@ def loss_and_gradients(
     beta: float,
 ):
     """Mean distillation loss over the batch and its analytic gradients
-    w.r.t. both linear maps.
-
-    The derivative of the BCE term through the sigmoid collapses to
-    (score - label), so no clamping enters the gradient path.
-    """
-    ctx = np.asarray(ctx_features, dtype=np.float64)
-    resp = np.asarray(resp_features, dtype=np.float64)
+    w.r.t. both linear maps (`_sgd_step` on float64 copies)."""
     sc = np.asarray(teacher_scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    p = ctx.shape[0]
-
-    ce, re, s = _embed_and_score(w_ctx, w_resp, ctx, resp)
-    dq = 2.0 * beta * (s - sc) * s * (1.0 - s) + (s - y)
-    g_ctx = ctx.T @ (dq[:, None] * re) / p
-    g_resp = resp.T @ (dq[:, None] * ce) / p
+    s, g_ctx, g_resp = _sgd_step(
+        np.asarray(w_ctx, dtype=np.float64), np.asarray(w_resp, dtype=np.float64),
+        np.asarray(ctx_features, dtype=np.float64), np.asarray(resp_features, dtype=np.float64),
+        sc, y, beta,
+    )
     return float(_kd_losses(s, sc, y, beta).mean()), g_ctx, g_resp
 
 
@@ -214,12 +228,32 @@ def _teacher_scores_for(pairs: PairSet, teacher) -> np.ndarray:
     return pairs.teacher_scores.astype(np.float64)
 
 
+def _epoch_loss(losses, step) -> float:
+    """Mean loss of an epoch of batches of `step` pairs (the last one takes
+    the remainder): each batch's mean loss times its size, summed batch by
+    batch in order, over the pair count."""
+    n = losses.size
+    full = n - n % step
+    means = losses[:full].reshape(-1, step).mean(axis=1).tolist()
+    sizes = [step] * len(means)
+    if full < n:
+        means.append(float(losses[full:].mean()))
+        sizes.append(n - full)
+    running = 0.0
+    for mean, size in zip(means, sizes):  # not sum(): Python 3.12 compensates it
+        running += mean * size
+    return running / n
+
+
 def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResult:
     """Mini-batch SGD on the distillation objective.
 
     Teacher scores are computed once up front and reused every epoch,
     mirroring a frozen, fully trained teacher. Pass teacher=None to use
-    the scores cached on the pair set.
+    the scores cached on the pair set. Each epoch gathers its shuffled
+    pairs once, so a batch is a contiguous slice, and scores its losses
+    in one pass after the last step; an epoch's loss is the mean of its
+    batch losses, weighted by batch size.
     """
     if len(pairs) < 2 or pairs.labels.min() == pairs.labels.max():
         raise ValueError("need at least one positive and one negative pair")
@@ -237,20 +271,20 @@ def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResul
     ctx = pairs.ctx_features.astype(np.float64)
     resp = pairs.resp_features.astype(np.float64)
     y = pairs.labels.astype(np.float64)
+    n, step = len(pairs), cfg.batch_size
+    s = np.empty(n)
     epoch_losses = []
     for _ in range(cfg.epochs):
-        perm = rng.permutation(len(pairs))
-        running = 0.0
-        for lo in range(0, len(pairs), cfg.batch_size):
-            batch = perm[lo : lo + cfg.batch_size]
-            loss, g_ctx, g_resp = loss_and_gradients(
-                w_ctx, w_resp, ctx[batch], resp[batch],
-                scores_cross[batch], y[batch], cfg.beta,
+        perm = rng.permutation(n)
+        ctx_e, resp_e, sc_e, y_e = ctx[perm], resp[perm], scores_cross[perm], y[perm]
+        for lo in range(0, n, step):
+            b = slice(lo, lo + step)
+            s[b], g_ctx, g_resp = _sgd_step(
+                w_ctx, w_resp, ctx_e[b], resp_e[b], sc_e[b], y_e[b], cfg.beta
             )
             w_ctx -= cfg.learning_rate * g_ctx
             w_resp -= cfg.learning_rate * g_resp
-            running += loss * batch.size
-        epoch_losses.append(running / len(pairs))
+        epoch_losses.append(_epoch_loss(_kd_losses(s, sc_e, y_e, cfg.beta), step))
 
     encoder = DualEncoder(
         w_ctx.astype(np.float32), w_resp.astype(np.float32)
@@ -258,10 +292,26 @@ def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResul
     return DistillResult(encoder, epoch_losses)
 
 
-def teacher_favorite(teacher, context, responses) -> int:
-    """Row of `responses` the teacher scores highest for one context."""
-    contexts = np.repeat(context[None], responses.shape[0], axis=0)
-    return int(np.argmax(teacher.score_batch(contexts, responses)))
+def teacher_favorites(teacher, contexts, responses) -> np.ndarray:
+    """For each context i, the row of responses[i] the teacher scores
+    highest, the first on a tie; responses is (M, P, F) for M contexts.
+    One `score_batch` call per block of _FAVORITE_BLOCK contexts."""
+    contexts = as_matrix(contexts)
+    responses = np.asarray(responses, dtype=np.float32)
+    if responses.ndim != 3 or responses.shape[0] != contexts.shape[0]:
+        raise ValueError(
+            f"need (M, P, F) responses for {contexts.shape[0]} contexts, "
+            f"got shape {responses.shape}"
+        )
+    m, p, f = responses.shape
+    out = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, _FAVORITE_BLOCK):
+        hi = min(lo + _FAVORITE_BLOCK, m)
+        scores = teacher.score_batch(
+            np.repeat(contexts[lo:hi], p, axis=0), responses[lo:hi].reshape(-1, f)
+        )
+        out[lo:hi] = scores.reshape(hi - lo, p).argmax(axis=1)
+    return out
 
 
 def ranking_instances_by_teacher(
@@ -279,12 +329,15 @@ def ranking_instances_by_teacher(
     if n_candidates > response_pool.shape[0]:
         raise ValueError("response pool smaller than requested candidate count")
     rng = np.random.default_rng(seed)
+    ids = np.array([
+        rng.choice(response_pool.shape[0], size=n_candidates, replace=False)
+        for _ in range(contexts.shape[0])
+    ], dtype=np.int64).reshape(contexts.shape[0], n_candidates)
+    favorites = teacher_favorites(teacher, contexts, response_pool[ids])
     instances = []
-    for i in range(contexts.shape[0]):
-        ids = rng.choice(response_pool.shape[0], size=n_candidates, replace=False)
-        gt = int(ids[teacher_favorite(teacher, contexts[i], response_pool[ids])])
-        rest = tuple(int(j) for j in ids if j != gt)
-        instances.append(RankingInstance(i, gt, rest))
+    for i, (row, fav) in enumerate(zip(ids.tolist(), favorites.tolist())):
+        gt = row[fav]
+        instances.append(RankingInstance(i, gt, tuple(j for j in row if j != gt)))
     return instances
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, as_vector, check_finite, inner_product, inner_product_argmax, inner_products
+from .core import as_matrix, as_vector, inner_product, inner_product_argmax, inner_product_top_k
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ def argmax_batch(contexts, candidates) -> np.ndarray:
 
 
 def top_k(c, candidates, k: int) -> list:
-    """k best candidates, scores non-increasing, equal scores by index."""
+    """k best candidates by exact inner product (see
+    `core.inner_product_top_k`), the lowest index first on a tie; scores
+    are the float64 inner products."""
     c = as_vector(c)
     candidates = as_matrix(candidates)
     if not 1 <= k <= candidates.shape[0]:
@@ -69,14 +71,8 @@ def top_k(c, candidates, k: int) -> list:
             f"dimension mismatch: context {c.shape[0]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    with np.errstate(invalid="ignore", over="ignore"):  # reported below
-        scores = inner_products(candidates, c)
-    if not np.isfinite(scores).all():  # float32 inputs cannot overflow float64
-        check_finite(c, "contexts")
-        check_finite(candidates, "candidates")
-    # stable sort on negated scores keeps index-ascending order inside ties
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [SearchResult(int(i), float(scores[i])) for i in order]
+    order, scores = inner_product_top_k(c, candidates, k)
+    return [SearchResult(int(i), float(s)) for i, s in zip(order, scores)]
 
 
 def recall_at_1(scorer, instances, contexts, candidates) -> float:

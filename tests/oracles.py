@@ -103,3 +103,85 @@ def fd_gradient(func, x, h=1e-4):
         grad[idx] = (func(xp) - func(xm)) / (2.0 * h)
         it.iternext()
     return grad
+
+
+def exact_top_k(context, candidates, k):
+    """The k rows with the largest exact inner products (as Fractions),
+    in decreasing order, the lowest index first on a tie."""
+    q = [Fraction(float(a)) for a in context]
+    scores = [
+        sum((a * Fraction(float(b)) for a, b in zip(q, row)), Fraction(0))
+        for row in candidates
+    ]
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+
+
+def masked_sigmoid(x):
+    """Stable logistic by boolean masks: 1 / (1 + exp(-x)) where x >= 0,
+    exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def per_batch_distill(ctx_features, resp_features, teacher_scores, labels, cfg):
+    """Mini-batch distillation SGD gathering every batch by fancy indexing
+    and scoring its loss right after its gradients, with the masked
+    sigmoid: the same random draws and the same arithmetic per pair as
+    `train_distilled`. Returns (w_ctx, w_resp, epoch_losses) in float64."""
+    ctx = np.asarray(ctx_features, dtype=np.float32).astype(np.float64)
+    resp = np.asarray(resp_features, dtype=np.float32).astype(np.float64)
+    scores = np.asarray(teacher_scores, dtype=np.float64)
+    y = np.asarray(labels).astype(np.float64)
+    n, n_feat = ctx.shape
+    dim = cfg.dim if cfg.dim is not None else max(2, n_feat // 2)
+    rng = np.random.default_rng(cfg.seed)
+    scale = 1.0 / np.sqrt(n_feat * np.sqrt(dim))
+    w_ctx = rng.normal(0.0, scale, (n_feat, dim))
+    w_resp = rng.normal(0.0, scale, (n_feat, dim))
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        running = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            batch = perm[lo : lo + cfg.batch_size]
+            c, r, sc, yb = ctx[batch], resp[batch], scores[batch], y[batch]
+            ce, re = c @ w_ctx, r @ w_resp
+            s = masked_sigmoid(np.einsum("ij,ij->i", ce, re))
+            dq = 2.0 * cfg.beta * (s - sc) * s * (1.0 - s) + (s - yb)
+            g_ctx = c.T @ (dq[:, None] * re) / batch.size
+            g_resp = r.T @ (dq[:, None] * ce) / batch.size
+            clamped = np.clip(s, 1e-12, 1.0 - 1e-12)
+            losses = (cfg.beta * (s - sc) ** 2 - yb * np.log(clamped)
+                      - (1.0 - yb) * np.log(1.0 - clamped))
+            w_ctx -= cfg.learning_rate * g_ctx
+            w_resp -= cfg.learning_rate * g_resp
+            running += float(losses.mean()) * batch.size
+        epoch_losses.append(running / n)
+    return w_ctx, w_resp, epoch_losses
+
+
+def favorites_one_by_one(teacher, contexts, responses):
+    """One teacher call per context over its own (P, F) responses; the
+    first on a tie."""
+    return np.array([
+        int(np.argmax(teacher.score_batch(np.repeat(c[None], r.shape[0], axis=0), r)))
+        for c, r in zip(contexts, responses)
+    ], dtype=np.int64)
+
+
+def teacher_ranking_one_by_one(teacher, contexts, pool, n_candidates, seed):
+    """(context id, ground truth id, distractor ids) per context: each
+    context draws its candidate ids, then the teacher scores them, one
+    context at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, c in enumerate(contexts):
+        ids = rng.choice(pool.shape[0], size=n_candidates, replace=False)
+        gt = int(ids[favorites_one_by_one(teacher, [c], [pool[ids]])[0]])
+        out.append((i, gt, tuple(int(j) for j in ids if j != gt)))
+    return out

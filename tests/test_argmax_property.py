@@ -19,7 +19,7 @@ from mipscreen.evaluate import evaluate_model
 from mipscreen.kmeans import assign_all, hard_assign
 from mipscreen.screening import ScreeningModel, assign_clusters, pack_subsets, predict_subset
 from mipscreen.search import argmax_batch, exact_argmax, top_k
-from oracles import naive_argmax, naive_matvec
+from oracles import exact_top_k, naive_argmax, naive_matvec
 
 
 @st.composite
@@ -72,6 +72,26 @@ def test_serving_and_evaluation_assign_the_same_cluster(problem, data):
         assert report.mean_subset_size == np.mean([s.size for s in served])
         contained = [exact_argmax(c, centroids).index in s for c, s in zip(contexts, served)]
         assert report.accuracy == np.mean(contained)
+
+
+# float32 values whose products differ below float64 resolution of 1
+_NEAR_TIE_VALUES = [0.0, 1.0, -1.0, 3.0, 2.0**-20, 2.0**-30, 2.0**-40, -(2.0**-40), 1 + 2.0**-23]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_k_orders_by_exact_inner_product(data):
+    dim = data.draw(st.integers(1, 4))
+    value = st.sampled_from(_NEAR_TIE_VALUES)
+    n = data.draw(st.integers(1, 9))
+    rows = np.array(data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                       min_size=n, max_size=n)), dtype=np.float32)
+    q = np.array(data.draw(st.lists(value, min_size=dim, max_size=dim)), dtype=np.float32)
+    k = data.draw(st.integers(1, n))
+    results = top_k(q, rows, k)
+    assert [r.index for r in results] == exact_top_k(q, rows, k)
+    scores = core.inner_products(rows, q)
+    assert [r.score for r in results] == [scores[r.index] for r in results]
 
 
 def test_batches_longer_than_one_block_match_oracle():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mipscreen.cli import run
+from mipscreen.core import inner_product
 from mipscreen.data import (
     PairSpec,
     gen_pair_data,
@@ -141,6 +142,27 @@ class TestPipeline:
         assert run(args + ["--screened", "--model", str(model_path)]) == 0
         screened_out = capsys.readouterr().out
         assert exact_out == screened_out
+
+    @pytest.mark.parametrize("dim", [7, 33])
+    def test_search_scores_print_as_inner_products(self, tmp_path, capsys, dim):
+        rng = np.random.default_rng(dim)
+        contexts = rng.normal(size=(50, dim)).astype(np.float32)
+        candidates = rng.normal(size=(300, dim)).astype(np.float32)
+        write_embeddings(contexts, tmp_path / "c.emb")
+        write_embeddings(candidates, tmp_path / "r.emb")
+        bits = rng.random((3, 300)) < 0.5
+        model = ScreeningModel(rng.normal(size=(3, dim)).astype(np.float32),
+                               pack_subsets(bits), 1e-4, 300)
+        save_model(model, tmp_path / "m.scrn")
+        args = ["search", "--context-file", str(tmp_path / "c.emb"),
+                "--candidates", str(tmp_path / "r.emb")]
+        for mode in (["--exact"], ["--screened", "--model", str(tmp_path / "m.scrn")]):
+            assert run(args + mode) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 50
+            for c, line in zip(contexts, lines):
+                i = int(line.split()[0])
+                assert line == f"{i} {inner_product(c, candidates[i]):.6f}"
 
     def test_bench_runs(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "m.scrn"

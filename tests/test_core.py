@@ -13,6 +13,7 @@ from mipscreen.core import (
     sigmoid,
     sigmoid_array,
 )
+from oracles import masked_sigmoid
 
 
 class TestInnerProduct:
@@ -81,6 +82,14 @@ class TestSigmoid:
     def test_array_matches_scalar(self):
         xs = np.array([-700.0, -5.0, 0.0, 3.0, 700.0])
         np.testing.assert_array_equal(sigmoid_array(xs), [sigmoid(x) for x in xs])
+
+    def test_array_is_bitwise_the_masked_form(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 745.2, -745.2, 709.8, -709.8, 36.8, -36.8, 1e308, -1e308]
+        xs = np.concatenate([np.random.default_rng(3).normal(0.0, 12.0, 1_100_000), edges])
+        got, want = sigmoid_array(xs), masked_sigmoid(xs)
+        assert got.tobytes() == want.tobytes()
+        assert sigmoid_array(-0.0) == 0.5 and sigmoid_array(-745.2) == 0.0
 
 
 class TestScoreDual:

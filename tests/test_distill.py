@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import mipscreen.distill as dst
 from mipscreen.core import score_dual, sigmoid
+from mipscreen.data import PairSpec, gen_pair_data
 from mipscreen.distill import (
     DistillConfig,
     DualEncoder,
@@ -17,10 +19,19 @@ from mipscreen.distill import (
     load_encoder,
     loss_and_gradients,
     pair_scores,
+    ranking_instances_by_teacher,
     save_encoder,
+    teacher_favorites,
     train_distilled,
 )
-from oracles import fd_gradient, naive_matvec
+from oracles import (
+    favorites_one_by_one,
+    fd_gradient,
+    masked_sigmoid,
+    naive_matvec,
+    per_batch_distill,
+    teacher_ranking_one_by_one,
+)
 
 
 class TestBce:
@@ -195,8 +206,6 @@ class TestTrainDistilled:
                 train_distilled(bad_pairs, None, DistillConfig(epochs=1))
 
     def test_distillation_tracks_teacher_closer(self):
-        from mipscreen.data import PairSpec, gen_pair_data
-
         train_pairs, test_pairs, teacher = gen_pair_data(PairSpec(seed=101))
         gaps = {}
         for beta in (0.0, 1.0):
@@ -210,8 +219,6 @@ class TestTrainDistilled:
         assert gaps[1.0] < gaps[0.0]
 
     def test_teacher_truth_ranking_instances(self):
-        from mipscreen.data import PairSpec, gen_pair_data
-        from mipscreen.distill import ranking_instances_by_teacher
         from mipscreen.search import recall_at_1
 
         _, test_pairs, teacher = gen_pair_data(PairSpec(n_train=10, n_test=60, seed=102))
@@ -289,3 +296,95 @@ class TestEncoderPersistence:
         path.write_bytes(blob[:-5])
         with pytest.raises(ValueError, match=rf"expected {len(blob)} bytes, found {len(blob) - 5}"):
             load_encoder(path)
+
+
+class TestBatchedTrainingMatchesPerBatchLoop:
+    """train_distilled gathers each epoch once and scores its losses in one
+    pass; the per-batch loop in oracles.py gathers and scores every batch
+    on its own. Encoders and epoch losses must agree to the bit."""
+
+    @pytest.mark.parametrize(
+        "count, f, cfg",
+        [
+            (150, 12, DistillConfig(epochs=3, seed=3)),  # 300 pairs: the last batch holds 44
+            (150, 12, DistillConfig(beta=0.0, epochs=3, batch_size=37, seed=4)),
+            (90, 9, DistillConfig(beta=0.5, epochs=2, batch_size=16, dim=5, seed=5)),
+            (64, 7, DistillConfig(epochs=1, batch_size=64, seed=6)),  # one epoch, exact batches
+            (20, 5, DistillConfig(epochs=4, batch_size=100, dim=3, seed=7)),  # one short batch
+        ],
+        ids=["remainder", "beta0", "dim", "one-epoch", "batch-over-count"],
+    )
+    def test_encoder_bytes_and_epoch_losses(self, count, f, cfg):
+        pairs = gen_pair_data(PairSpec(n_train=count, n_test=2, n_features=f, seed=cfg.seed))[0]
+        result = train_distilled(pairs, None, cfg)
+        w_ctx, w_resp, losses = per_batch_distill(
+            pairs.ctx_features, pairs.resp_features, pairs.teacher_scores, pairs.labels, cfg
+        )
+        assert result.encoder.w_ctx.tobytes() == w_ctx.astype(np.float32).tobytes()
+        assert result.encoder.w_resp.tobytes() == w_resp.astype(np.float32).tobytes()
+        assert result.epoch_losses == losses
+
+    def test_loss_and_gradients_wraps_the_same_step(self):
+        rng = np.random.default_rng(70)
+        pairs = _random_pairs(rng, count=40, f=6)
+        w_ctx, w_resp = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        loss, g_ctx, g_resp = loss_and_gradients(
+            w_ctx, w_resp, pairs.ctx_features, pairs.resp_features,
+            pairs.teacher_scores, pairs.labels, 0.7,
+        )
+        ctx, resp = pairs.ctx_features.astype(np.float64), pairs.resp_features.astype(np.float64)
+        sc, y = pairs.teacher_scores.astype(np.float64), pairs.labels.astype(np.float64)
+        ce, re = ctx @ w_ctx, resp @ w_resp
+        s = masked_sigmoid(np.einsum("ij,ij->i", ce, re))
+        dq = 2.0 * 0.7 * (s - sc) * s * (1.0 - s) + (s - y)
+        np.testing.assert_array_equal(g_ctx, ctx.T @ (dq[:, None] * re) / 40)
+        np.testing.assert_array_equal(g_resp, resp.T @ (dq[:, None] * ce) / 40)
+        assert loss == pytest.approx(np.mean([kd_loss(a, b, c, 0.7) for a, b, c in zip(s, sc, y)]))
+
+
+class TestTeacherFavoritesAcrossBlocks:
+    """Favorites scored in blocks of contexts equal one teacher call per
+    context, with the block small enough that every call crosses blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dst, "_FAVORITE_BLOCK", 3)
+
+    def test_favorites_match_one_call_per_context(self):
+        rng = np.random.default_rng(71)
+        teacher = PlantedTeacher(6, seed=8)
+        for m in (1, 3, 10):  # one block, an exact block, a one-context last block
+            contexts = rng.normal(size=(m, 6)).astype(np.float32)
+            responses = rng.normal(size=(m, 5, 6)).astype(np.float32)
+            np.testing.assert_array_equal(
+                teacher_favorites(teacher, contexts, responses),
+                favorites_one_by_one(teacher, contexts, responses),
+            )
+
+    def test_first_favorite_wins_a_tie(self):
+        teacher = PlantedTeacher(4, seed=9)
+        responses = np.ones((4, 3, 4), dtype=np.float32)
+        assert teacher_favorites(teacher, np.ones((4, 4)), responses).tolist() == [0] * 4
+
+    def test_shape_mismatch_rejected(self):
+        teacher = PlantedTeacher(4, seed=9)
+        with pytest.raises(ValueError, match="responses"):
+            teacher_favorites(teacher, np.ones((3, 4)), np.ones((2, 3, 4)))
+        with pytest.raises(ValueError, match="responses"):
+            teacher_favorites(teacher, np.ones((3, 4)), np.ones((3, 4)))
+
+    def test_pair_split_positives_are_the_per_context_favorites(self, monkeypatch):
+        spec = PairSpec(n_train=11, n_test=7, n_features=5, seed=12)
+        blocked = gen_pair_data(spec)
+        monkeypatch.setattr(dst, "_FAVORITE_BLOCK", 1)  # one teacher call per context
+        one_by_one = gen_pair_data(spec)
+        for a, b in zip(blocked[:2], one_by_one[:2]):
+            for field in ("ctx_features", "resp_features", "labels", "teacher_scores"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    def test_ranking_instances_match_per_context_draws(self):
+        _, test_pairs, teacher = gen_pair_data(PairSpec(n_train=4, n_test=10, seed=13))
+        contexts, pool = test_pairs.ctx_features[0::2], test_pairs.resp_features[0::2]
+        got = ranking_instances_by_teacher(teacher, contexts, pool, 4, seed=6)
+        want = teacher_ranking_one_by_one(teacher, contexts, pool, 4, seed=6)
+        assert [(i.context_id, i.ground_truth_id, i.distractor_ids) for i in got] == want

@@ -101,6 +101,16 @@ class TestTopK:
         assert [r.index for r in results] == want.tolist()
         np.testing.assert_allclose([r.score for r in results], scores[want], rtol=1e-14)
 
+    def test_order_below_float64_resolution_is_exact(self):
+        # exact products 1 and 1 + 2**-70 both round to 1.0 in float64
+        rows = np.array([[1, 0], [1, 2**-40]], dtype=np.float32)
+        q = np.array([1, 2**-30], dtype=np.float32)
+        assert exact_argmax(q, rows).index == 1
+        results = top_k(q, rows, 2)
+        assert [r.index for r in results] == [1, 0]
+        assert [r.score for r in results] == [1.0, 1.0]
+        assert top_k(q, rows, 1)[0].index == 1
+
     def test_k_out_of_range(self):
         candidates = np.ones((3, 2), dtype=np.float32)
         for k in (0, 4):
