@@ -59,7 +59,7 @@ def write_embeddings(matrix, path) -> None:
     matrix = np.asarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    check_finite(matrix, "embedding matrix")
+    _checked(matrix)
     write_container(path, _EMB_MAGIC, "<II", matrix.shape, [matrix.astype("<f4")])
 
 
@@ -67,7 +67,14 @@ def read_embeddings(path) -> np.ndarray:
     _, (data,) = read_container(
         path, _EMB_MAGIC, "<II", lambda count, dim: [("<f4", (count, dim))]
     )
-    return check_finite(data, "embedding matrix")
+    return _checked(data)
+
+
+def _checked(embeddings):
+    """An EMB1 matrix: rows of length >= 1, finite entries."""
+    if embeddings.shape[1] < 1:
+        raise ValueError("embedding dimension must be >= 1")
+    return check_finite(embeddings, "embedding matrix")
 
 
 def write_labels(labels, path) -> None:
@@ -79,12 +86,15 @@ def write_labels(labels, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
+    """One label per non-blank line, each a non-negative int64."""
     with open(path) as fh:
-        values = [int(line) for line in fh if line.strip()]
-    labels = np.asarray(values, dtype=np.int64)
-    if labels.size and labels.min() < 0:
-        raise ValueError("labels must be non-negative")
-    return labels
+        lines = fh.readlines()
+    values = [int(line) for line in lines if line.strip()]
+    if values and not 0 <= min(values) <= max(values) < 2**63:
+        n, bad = next((n, line.strip()) for n, line in enumerate(lines, 1)
+                      if line.strip() and not 0 <= int(line) < 2**63)
+        raise ValueError(f"labels must be non-negative int64 values: line {n} reads {bad}")
+    return np.asarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, exit codes, and idempotence."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -356,6 +357,31 @@ class TestInputMismatch:
                 "--context-file", str(corpus / "test_contexts.emb"),
                 "--candidates", str(corpus / "candidates.emb")]
         _assert_one_line_data_error(argv, capsys, "dimension mismatch: candidates 8 vs model 5")
+
+    @pytest.mark.parametrize("command", ["train-screen", "grid"])
+    def test_label_outside_int64(self, corpus, tmp_path, capsys, command):
+        labels = tmp_path / "big.txt"
+        labels.write_text("3\n\n99999999999999999999999\n")
+        files = ["--candidates", str(corpus / "candidates.emb"), "--labels", str(labels)]
+        if command == "train-screen":
+            argv = ["train-screen", "--contexts", str(corpus / "train_contexts.emb"), *files,
+                    "--k", "2", "--out-model", str(tmp_path / "m.scrn")]
+        else:
+            argv = ["grid", "--train-contexts", str(corpus / "train_contexts.emb"),
+                    "--test-contexts", str(corpus / "test_contexts.emb"), *files,
+                    "--k", "2", "--lambda", "1e-3", "--report", str(tmp_path / "grid.csv")]
+        _assert_one_line_data_error(argv, capsys, "line 3 reads 99999999999999999999999")
+
+    @pytest.mark.parametrize("command", ["labels", "search"])
+    def test_zero_dimension_embeddings(self, tmp_path, capsys, command):
+        flat = tmp_path / "flat.emb"
+        flat.write_bytes(b"EMB1" + bytes([1]) + struct.pack("<II", 4, 0))
+        if command == "labels":
+            argv = ["labels", "--contexts", str(flat), "--candidates", str(flat),
+                    "--out", str(tmp_path / "labels.txt")]
+        else:
+            argv = ["search", "--exact", "--context-file", str(flat), "--candidates", str(flat)]
+        _assert_one_line_data_error(argv, capsys, "embedding dimension must be >= 1")
 
 
 def _corruptions(blob, header_size):

@@ -114,6 +114,15 @@ class TestEmbeddingsIO:
         with pytest.raises(ValueError, match="non-finite"):
             write_embeddings(bad, tmp_path / "nan.emb")
 
+    def test_zero_dimension_rejected_on_read_and_write(self, tmp_path):
+        path = tmp_path / "flat.emb"
+        with pytest.raises(ValueError, match="^embedding dimension must be >= 1$"):
+            write_embeddings(np.zeros((3, 0), dtype=np.float32), path)
+        assert not path.exists()
+        path.write_bytes(b"EMB1" + bytes([1]) + struct.pack("<II", 3, 0))
+        with pytest.raises(ValueError, match="^embedding dimension must be >= 1$"):
+            read_embeddings(path)
+
 
 class TestFormatLayouts:
     """The on-disk layouts are frozen; build expected blobs by hand."""

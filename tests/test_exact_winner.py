@@ -32,7 +32,7 @@ from mipscreen.screening import (
     screened_search,
     screened_search_batch,
 )
-from mipscreen.search import argmax_batch, exact_argmax
+from mipscreen.search import argmax_batch, exact_argmax, top_k
 from oracles import exact_argmax as oracle
 
 TINY = 2.0**-30
@@ -206,6 +206,54 @@ def test_screened_search_rejects_non_finite_rows_it_scores():
         screened_search(c, model, rows)
     with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
         screened_search_batch(np.stack([q, c]), model, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad_row", [0, 13])  # in the first tile, in the last
+def test_non_finite_contexts_are_named_before_candidates(monkeypatch, bad_row, bad):
+    monkeypatch.setattr(core, "_TILE_ROWS", 4)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 2)
+    rows = np.ones((14, 3), dtype=np.float32)  # tiles of 4, 4 and 6 rows
+    rows[bad_row, 1] = bad
+    queries = np.ones((5, 3), dtype=np.float32)  # blocks of 2, 2 and 1 queries
+    queries[4, 2] = bad
+    message = "^contexts contains non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        argmax_batch(queries, rows)
+    with pytest.raises(ValueError, match=message):
+        exact_argmax(queries[4], rows)
+    with pytest.raises(ValueError, match=message):
+        top_k(queries[4], rows, 3)
+
+
+def test_float32_search_near_the_overflow_bound(monkeypatch):
+    # Entries are small multiples of 2**58 (about 2.9e17) at D=32, scored
+    # in 128-row tiles and blocks of 8 queries (small enough for the
+    # rational oracle). Each query's row-norm bound stays below the float32
+    # limit, while a block's Frobenius norm times a tile's would not: the
+    # batch is searched in float32, planted near-ties included.
+    monkeypatch.setattr(core, "_TILE_ROWS", 128)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 8)
+    scale = np.float32(2.0**58)
+    rng = np.random.default_rng(17)
+    rows = rng.integers(-3, 4, size=(400, 32)).astype(np.float32)
+    rows[:, 31] = rng.integers(-3, 4, size=400) * TINY
+    rows[rng.integers(0, 400, size=40), :31] = rows[rng.integers(0, 400, size=40), :31]
+    queries = rng.integers(-3, 4, size=(20, 32)).astype(np.float32)
+    rows, queries = rows * scale, queries * scale
+    rounding = core._rounding(np.dtype(np.float32), 32)
+    unit = rounding.unit
+    row_bound = rounding.bound(core._row_norms(queries, unit, "q").max(),
+                               core._row_norms(rows, unit, "c").max())
+    frobenius = rounding.bound(core._norm_bound(queries[:8], unit, "q"),
+                               core._norm_bound(rows[:128], unit, "c"))
+    assert row_bound < rounding.limit < frobenius
+    want = [oracle(q, rows)[0] for q in queries]
+    with mock.patch.object(core._Rounding, "wider", autospec=True,
+                           side_effect=core._Rounding.wider) as wider:
+        np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+    assert wider.call_count == 0
+    assert [exact_argmax(q, rows).index for q in queries] == want
 
 
 @pytest.mark.parametrize("scale", [1e19, 1e30])
