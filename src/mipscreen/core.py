@@ -27,10 +27,12 @@ _CONTAINER_VERSION = 1
 # last tile, which takes the remainder. A batch is scored one block of
 # queries at a time: _BLOCK_ROWS against a full tile, and proportionally
 # more against a short one (k-means' centroids, a screened subset), so a
-# score block holds fewer than _BLOCK_ROWS x 2 x _TILE_ROWS values. Neither
-# bound changes a result: the winner is the largest exact inner product,
-# and the lowest index wins an exact tie, whatever the tile, the product
-# shape or the BLAS thread count.
+# score block holds fewer than _BLOCK_ROWS x 2 x _TILE_ROWS values. A long
+# batch's ball path keeps to both: it takes at most _BLOCK_ROWS centers, so
+# a tile's scores against them fit one score block, and it scores its balls
+# tile by tile. Neither bound changes a result: the winner is the largest
+# exact inner product, and the lowest index wins an exact tie, whatever the
+# tile, the product shape or the BLAS thread count.
 _TILE_ROWS = 4096
 _BLOCK_ROWS = 256
 
@@ -143,6 +145,9 @@ def inner_product_argmax(queries, rows) -> np.ndarray:
     running winner (`_verdict`); otherwise `_settle` re-decides the query
     exactly. A batch is bounded by query and row norms; one query takes a
     lean scalar branch, bounded by the tile's Frobenius norm, then its row norms.
+    A long batch over clustered rows visits balls of rows instead of tiles,
+    and skips a ball for a query when a bound on its rows' exact products
+    lies strictly below the query's running winner (`_Balls`).
     """
     if queries.dtype != rows.dtype:
         dtype = np.result_type(queries, rows)
@@ -225,59 +230,196 @@ def _argmax_one(q, rows, rounding) -> int:
             won, decided = _verdict(top, runner, e, best, err)
             if not decided:
                 scores[i] = top
-                out, best, err = _settle(q, rows, offset, scores, e_rows, (out, best, err))
+                ids = np.arange(offset, offset + tile.shape[0])
+                out, best, err = _settle(q, rows, ids, scores, e_rows, (out, best, err))
         if won:
             out, best, err = offset + i, top, e
     return out
 
 
 def _argmax_batch(queries, rows, rounding) -> np.ndarray:
-    m = queries.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    best, err = np.full(m, -np.inf), np.zeros(m)  # the running winner's exact score is best +- err
+    m, n = queries.shape[0], rows.shape[0]
     qnorms = _row_norms(queries, rounding.unit, "contexts")
-    for offset, tile in _tiles(rows):
-        norms = _row_norms(tile, rounding.unit, "candidates")
-        max_norm = float(norms.max())
-        height = _BLOCK_ROWS * max(1, _TILE_ROWS // tile.shape[0])
-        for start in range(0, m, height):
-            blk = slice(start, start + height)
-            e = rounding.bound(qnorms[blk], max_norm)
-            if not (e < rounding.limit).all():
-                wider = rounding.wider()
-                return _argmax_batch(queries.astype(wider.dtype), rows.astype(wider.dtype), wider)
-            scores = queries[blk] @ tile.T
-            idx = scores.argmax(axis=1)
-            pick = (np.arange(idx.size), idx)
-            top = scores[pick].astype(np.float64, copy=False)  # so top - e is not rounded to float32
-            scores[pick] = -np.inf
-            runner = scores[pick[0], scores.argmax(axis=1)]  # cheaper than max(axis=1)
-            won, decided = _verdict(top, runner, e, best[blk], err[blk])
-            np.copyto(out[blk], idx + offset, where=won)
-            np.copyto(best[blk], top, where=won)
-            np.copyto(err[blk], e, where=won)
-            for j in np.flatnonzero(~decided):
-                scores[j, idx[j]] = top[j]
-                q = start + j
-                e_rows = rounding.bound(qnorms[q], norms)
-                cur = (out[q], best[q], err[q])
-                out[q], best[q], err[q] = _settle(queries[q], rows, offset, scores[j], e_rows, cur)
-    return out
+    norms = _row_norms(rows, rounding.unit, "candidates")
+    if not rounding.bound(float(qnorms.max(initial=0.0)), float(norms.max())) < rounding.limit:
+        wider = rounding.wider()
+        return _argmax_batch(queries.astype(wider.dtype), rows.astype(wider.dtype), wider)
+    # the running winners (index, best, err): each exact score is best +- err
+    state = np.zeros(m, dtype=np.int64), np.full(m, -np.inf), np.zeros(m)
+    # Balls pay for their build only on a long scan: building them costs
+    # about as much as scanning 250 queries (crossover 220-550 queries at
+    # n = 100k-10k, D = 32), and on rows without clusters the pivot search
+    # wastes about 3 ms, under 3% of a scan of 32 full score blocks.
+    long_scan = m >= 2 * _BLOCK_ROWS and m * n >= 64 * _BLOCK_ROWS * _TILE_ROWS
+    balls = _balls(rows, norms, rounding) if long_scan and n >= 2 * _TILE_ROWS else None
+    if balls is None:  # one ball: its tiles in order, every query visiting each
+        visits = [((np.arange(s, s + t.shape[0]), t, norms[s : s + t.shape[0]]), None)
+                  for s, t in _tiles(rows)]
+    else:
+        visits = balls.visits(queries, qnorms, state)
+    for group, who in visits:
+        _merge(queries, qnorms, rows, group, who, state, rounding)
+    return state[0]
 
 
-def _settle(q, rows, offset, scores, e, cur):
+def _merge(queries, qnorms, rows, group, who, state, rounding):
+    """Fold a group of rows into the running winners `state` = (index,
+    best, err) of the queries numbered `who`, or of every query in order
+    when `who` is None (a block is then a slice: no gathers). group =
+    (ids, block, norms): the rows' ascending indices in `rows`, the rows,
+    and their norm bounds."""
+    ids, block, norms = group
+    out, best, err = state
+    max_norm = float(norms.max())
+    height = _BLOCK_ROWS * max(1, _TILE_ROWS // block.shape[0])
+    every = range(out.size)
+    for start in range(0, out.size if who is None else who.size, height):
+        q = slice(start, start + height) if who is None else who[start : start + height]
+        at = every[q] if who is None else q  # query numbers, for the exact re-checks
+        e = rounding.bound(qnorms[q], max_norm)
+        scores = queries[q] @ block.T
+        idx = scores.argmax(axis=1)
+        pick = (np.arange(idx.size), idx)
+        top = scores[pick].astype(np.float64, copy=False)  # so top - e is not rounded to float32
+        scores[pick] = -np.inf
+        runner = scores[pick[0], scores.argmax(axis=1)]  # cheaper than max(axis=1)
+        won, decided = _verdict(top, runner, e, best[q], err[q])
+        out[q] = np.where(won, ids[idx], out[q])
+        best[q] = np.where(won, top, best[q])
+        err[q] = np.where(won, e, err[q])
+        for j in np.flatnonzero(~decided):
+            scores[j, idx[j]] = top[j]
+            i = at[j]
+            e_rows = rounding.bound(qnorms[i], norms)
+            out[i], best[i], err[i] = _settle(queries[i], rows, ids, scores[j], e_rows,
+                                              (out[i], best[i], err[i]))
+
+
+class _Balls(NamedTuple):
+    """Candidate rows in groups, each inside a ball around a center: a
+    row c of group g has |c - center| <= radii[g], so a query q has
+    q . c <= q . center + |q| radii[g], bounded from float64 scores."""
+
+    groups: list  # (ids, block, norms) for _merge
+    centers: np.ndarray  # float64 copies of each group's center
+    cnorms: np.ndarray  # upper bounds on the centers' norms
+    radii: np.ndarray
+
+    def bounds(self, queries, qnorms):
+        """Upper bounds on the exact inner products of each query with
+        each group's rows: the float64 score of the center within its
+        rounding bound, plus |q| r, plus 4 float64 units of the terms'
+        sizes for the rounding of this sum."""
+        rounding = _rounding(np.dtype(np.float64), self.centers.shape[1])
+        s = queries.astype(np.float64) @ self.centers.T
+        t = rounding.bound(qnorms[:, None], self.cnorms) + qnorms[:, None] * self.radii
+        return s + t + 4 * rounding.unit * (np.abs(s) + t)
+
+    def visits(self, queries, qnorms, state):
+        """(group, query numbers) for _merge: each query's highest-bound
+        group first, then every other group whose bound reaches the
+        query's running winner. A skipped group's rows all lose to it."""
+        _, best, err = state
+        chunk = max(1, 2 * _BLOCK_ROWS * _TILE_ROWS // len(self.groups))  # bounds per pass
+        for lo in range(0, queries.shape[0], chunk):
+            hi = lo + chunk
+            ub = self.bounds(queries[lo:hi], qnorms[lo:hi])
+            first = ub.argmax(axis=1)
+            for g, group in enumerate(self.groups):
+                yield group, lo + np.flatnonzero(first == g)
+            for g, group in enumerate(self.groups):
+                reach = ub[:, g] >= best[lo:hi] - err[lo:hi]
+                yield group, lo + np.flatnonzero(reach & (first != g))
+
+
+def _balls(rows, norms, rounding):
+    """_Balls around the clusters of `rows`, or None when a fixed sample,
+    four rows per allowed pivot, shows no cluster structure (`_pivots`).
+    A center is the mean of the sample rows nearest a pivot, rounded to
+    the rows' dtype; each row joins its nearest center, one tile at a
+    time. A radius bounds the norms of the rounded differences from the
+    center, divided by 1 - 2u: one u for the difference, one for the
+    division."""
+    n, top = rows.shape[0], float(norms.max())
+    if not rounding.bound(top, top) < rounding.limit:  # so no product of rows overflows
+        return None
+    pick = np.random.default_rng(0).choice(n, size=min(n, 4 * _BLOCK_ROWS), replace=False)
+    sample = rows[np.sort(pick)].astype(np.float64)
+    centered = sample - sample.mean(axis=0)
+    centered = (centered / (np.abs(centered).max() or 1.0)).astype(np.float32)  # precise enough
+    pivots = _pivots(centered)
+    if pivots is None:
+        return None
+    owner = _nearest(centered, centered[pivots])  # each pivot owns at least itself
+    sums = (owner == np.arange(len(pivots))[:, None]) @ sample
+    centers = (sums / np.bincount(owner)[:, None]).astype(rows.dtype)
+    labels = np.empty(n, dtype=np.int16)  # int16: a radix sort below
+    dist = np.empty(n)
+    for s, tile in _tiles(rows):
+        near = _nearest(tile, centers)
+        labels[s : s + tile.shape[0]] = near
+        dist[s : s + tile.shape[0]] = _row_norms(tile - centers.take(near, axis=0),
+                                                 rounding.unit, "candidates")
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=centers.shape[0]))
+    groups, center_of, radii = [], [], []
+    for c, members in enumerate(np.split(order, ends[:-1])):
+        for _, ids in _tiles(members) if members.size else ():  # gathered group by group,
+            groups.append((ids, rows.take(ids, axis=0), norms[ids]))  # no copy of all rows
+            center_of.append(c)
+            radii.append(dist[ids].max())
+    centers = centers[center_of]
+    return _Balls(groups, centers.astype(np.float64), _row_norms(centers, rounding.unit, "centers"),
+                  np.array(radii) / (1 - 2 * rounding.unit))
+
+
+def _pivots(sample):
+    """Positions of farthest-point pivots in `sample`, picked until its
+    covering radius has halved; None when that takes more than
+    _BLOCK_ROWS pivots, as on data without cluster structure. The cap
+    keeps a tile's scores against the centers within one score block."""
+    sq = np.einsum("ij,ij->i", sample, sample)
+    # |s - p|^2 - |s|^2 = [-2 s, 1] . [p, |p|^2], one matrix-vector product a pivot
+    left = np.concatenate((-2 * sample, np.ones_like(sq)[:, None]), axis=1)
+    right = np.concatenate((sample, sq[:, None]), axis=1)
+    part = np.full_like(sq, np.inf)  # min over pivots p of |s - p|^2 - |s|^2
+    d, far = np.empty_like(sq), np.empty_like(sq)
+    pivots = [0]
+    while True:
+        np.matmul(left, right[pivots[-1]], out=d)
+        np.minimum(part, d, out=part)
+        np.add(part, sq, out=far)  # squared distance to the nearest pivot
+        i = int(far.argmax())
+        if len(pivots) == 1:
+            goal = far[i] / 4
+        if far[i] <= goal:
+            return pivots
+        if len(pivots) == _BLOCK_ROWS:
+            return None
+        pivots.append(i)
+
+
+def _nearest(x, centers):
+    """Index of the nearest center for each row of x, by float scores."""
+    scores = x @ centers.T
+    scores -= 0.5 * np.einsum("ij,ij->i", centers, centers)
+    return scores.argmax(axis=1)
+
+
+def _settle(q, rows, ids, scores, e, cur):
     """(index, best, err) of the exact winner among the running winner
-    `cur` = (index, best, err), best -inf before the first tile, and the
-    tile of rows starting at `offset`, whose float `scores` are each within
-    their `e` of exact: only rows that could reach the highest lower bound
-    are compared exactly."""
-    if not q.any():  # every row ties exactly at 0: the lowest index wins
-        return cur[0], 0.0, 0.0
+    `cur` = (index, best, err), best -inf before the first group, and the
+    rows numbered by the ascending `ids`, whose float `scores` are each
+    within their `e` of exact: only rows that could reach the highest
+    lower bound are compared exactly, in index order, so the lowest index
+    wins an exact tie."""
+    if not q.any():  # every row ties exactly at 0: row 0 wins
+        return 0, 0.0, 0.0
     scores = scores.astype(np.float64, copy=False)  # so scores - e is not rounded to float32
     low = max((scores - e).max(), cur[1] - cur[2])
-    band = offset + np.flatnonzero(scores + e >= low)
+    band = ids[np.flatnonzero(scores + e >= low)]
     if cur[1] + cur[2] >= low:
-        band = np.concatenate(([cur[0]], band))
+        band = np.sort(np.append(band, cur[0]))
     win, exact = _exact_winner(q, rows[band])
     return int(band[win]), exact, math.ulp(exact)
 

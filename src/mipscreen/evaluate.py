@@ -159,9 +159,9 @@ def bench_latency(
     elif mode == "screened":
         if model is None:
             raise ValueError("screened mode requires a model")
-        # also primes the model's caches outside the timed region
-        for c in contexts:
-            want = exact_argmax(c, candidates).index
+        # also primes the model's caches outside the timed region; batch
+        # indices equal per-query exact_argmax ones
+        for c, want in zip(contexts, argmax_batch(contexts, candidates)):
             if want in predict_subset(c, model) and (
                 screened_search(c, model, candidates).index != want
             ):

@@ -242,10 +242,13 @@ def compute_alpha(
     if m != trainset.contexts.shape[0]:
         raise ValueError("mu row count must match context count")
     n = trainset.candidates.shape[0]
-    label_mass = np.zeros((n, k))
-    np.add.at(label_mass, trainset.labels, mu)
+    # label_mass[c, j]: mu[:, c] summed over the contexts labelled j, in
+    # context order, the order np.add.at would sum in
+    label_mass = np.empty((k, n))
+    for c in range(k):
+        label_mass[c] = np.bincount(trainset.labels, weights=mu[:, c], minlength=n)
     col_mass = mu.sum(axis=0)
-    return lam * col_mass[:, None] - (lam + 1.0) * label_mass.T
+    return lam * col_mass[:, None] - (lam + 1.0) * label_mass
 
 
 def update_subsets(alpha: np.ndarray) -> np.ndarray:

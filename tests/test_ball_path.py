@@ -1,0 +1,193 @@
+"""The exact batch kernel's ball path: candidate rows grouped in balls
+around centers, and a group skipped for a query only when its bound
+proves that every row loses to the query's running winner. The answer
+must stay the largest exact inner product, the lowest index on an exact
+tie, as `oracles.exact_argmax` computes it in rational arithmetic.
+
+Small tiles and blocks (8 rows, 4 queries) let a batch of 16 queries
+over 128 rows take the ball path; a sample of one tile then picks at
+most 4 pivots.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mipscreen import core
+from mipscreen.data import SyntheticSpec, gen_synthetic
+from mipscreen.search import argmax_batch, exact_argmax
+from oracles import exact_argmax as oracle
+
+TINY = 2.0**-30
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """What each `_balls` call returned (None: the call scanned)."""
+    calls = []
+    build = core._balls
+
+    def spy(*args):
+        calls.append(build(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(core, "_balls", spy)
+    return calls
+
+
+@pytest.fixture
+def small(monkeypatch, built):
+    monkeypatch.setattr(core, "_TILE_ROWS", 8)
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 4)
+    return built
+
+
+def clustered(rng, n, dim, k):
+    """n float32 rows around k (at most 2**dim) far-apart integer centers,
+    with integer jitter, a last column of small multiples of TINY (float32
+    scores tie where exact products differ) and repeated rows."""
+    corners = np.array(list(itertools.product([-8, 8], repeat=dim)))
+    centers = corners[rng.permutation(len(corners))[:k]]
+    rows = centers[rng.integers(0, len(centers), size=n)] + rng.integers(-1, 2, size=(n, dim))
+    rows = np.concatenate([rows, rng.integers(-3, 4, size=(n, 1)) * TINY], axis=1)
+    rows[rng.integers(0, n, size=n // 8)] = rows[rng.integers(0, n, size=n // 8)]
+    return rows.astype(np.float32)
+
+
+def want(queries, rows):
+    return [oracle(q, rows)[0] for q in queries]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), k=st.integers(1, 3),
+       n=st.integers(128, 160))
+def test_ball_path_matches_the_rational_oracle(seed, dim, k, n):
+    rng = np.random.default_rng(seed)
+    rows = clustered(rng, n, dim, k)
+    queries = rng.integers(-2, 3, size=(16, dim + 1)).astype(np.float32)
+    queries[3] = 0  # ties every row at 0
+    queries[4] = -queries[5]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_TILE_ROWS", 8)
+        mp.setattr(core, "_BLOCK_ROWS", 4)
+        np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
+
+
+def test_ball_path_is_taken_and_every_query_matches(small):
+    # three clusters, each split into groups of 8-15 rows; every integer
+    # query in [-2, 2]^3, so many queries have exact ties across groups
+    rows = clustered(np.random.default_rng(3), 144, 2, 3)
+    queries = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3), axis=-1).reshape(-1, 3)
+    queries = queries.astype(np.float32)
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
+    (balls,) = small
+    assert balls is not None and balls.centers.shape[0] > 3  # groups of several balls
+
+
+def test_a_tie_in_a_ball_visited_later_goes_to_its_lower_index(small):
+    # Row 100 scores 28 in cluster A, whose center scores highest; row 3
+    # ties it exactly from cluster B.
+    rng = np.random.default_rng(4)
+    rows = np.empty((128, 2), dtype=np.float32)
+    rows[0::2] = (0, 8) - rng.integers(0, 2, size=(64, 2))  # A: scores <= 24
+    rows[1::2] = (8, 0) + rng.integers(0, 2, size=(64, 2))  # B: scores <= 12
+    rows[100] = (1, 9)
+    rows[3] = (10, 6)
+    q = np.array([1, 3], dtype=np.float32)
+    queries = np.tile(q, (16, 1))
+    assert want(queries[:1], rows) == [3]
+    np.testing.assert_array_equal(argmax_batch(queries, rows), [3] * 16)
+    assert small[0] is not None
+    # whatever the balls: merging row 100's group first, row 3's second
+    rounding = core._rounding(rows.dtype, 2)
+    qnorms = core._row_norms(q[None], rounding.unit, "contexts")
+    norms = core._row_norms(rows, rounding.unit, "candidates")
+    state = np.zeros(1, dtype=np.int64), np.full(1, -np.inf), np.zeros(1)
+    for ids in (np.array([98, 100, 102]), np.array([1, 3, 5])):
+        core._merge(q[None], qnorms, rows, (ids, rows[ids], norms[ids]), np.array([0]), state,
+                    rounding)
+    assert state[0][0] == 3
+
+
+def test_duplicate_top_rows_in_several_balls(small):
+    rows = clustered(np.random.default_rng(5), 160, 2, 3)
+    copies = [20, 61, 90, 150]
+    rows[copies] = (12, 12, 0)  # q . row = 60 for q = (3, 2, 0); clusters score <= 45
+    rows[[9, 40]] = (20, 0, 0)  # the same exact product
+    q = np.array([3, 2, 0], dtype=np.float32)
+    queries = np.concatenate([np.tile(q, (8, 1)), clustered(np.random.default_rng(6), 8, 2, 2)])
+    got = argmax_batch(queries, rows)
+    np.testing.assert_array_equal(got, want(queries, rows))
+    assert list(got[:8]) == [9] * 8
+    (balls,) = small
+    groups = {g for g, (ids, _, _) in enumerate(balls.groups) for i in copies + [9] if i in ids}
+    assert len(groups) > 1
+
+
+def test_the_zero_query_returns_row_zero_on_the_ball_path(small):
+    rows = clustered(np.random.default_rng(7), 128, 3, 2)
+    queries = np.random.default_rng(8).integers(-2, 3, size=(16, 4)).astype(np.float32)
+    queries[[0, 9]] = 0
+    got = argmax_batch(queries, rows)
+    np.testing.assert_array_equal(got, want(queries, rows))
+    assert got[0] == got[9] == 0
+    assert small[0] is not None
+    # a one-row group visited first wins the zero query outright; settling
+    # a later group hands it to row 0 whatever the running winner
+    settled = core._settle(queries[0], rows, np.array([5, 6]), np.zeros(2), np.ones(2), (9, 0.0, 0.1))
+    assert settled == (0, 0.0, 0.0)
+
+
+def test_gaussian_rows_take_the_scan_and_clustered_rows_stop_at_their_topics(monkeypatch, built):
+    # At full tile size: 512 queries over 8192 rows reach the ball path's
+    # size rule once blocks are 16 queries. The pivot search on a
+    # Gaussian sample never halves its covering radius within 16 pivots;
+    # on 8 topics it stops at 8.
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 16)
+    rng = np.random.default_rng(9)
+    gaussian = rng.normal(size=(8192, 32)).astype(np.float32)
+    syn = gen_synthetic(SyntheticSpec(m_train=512, m_test=8, n_candidates=8192, dim=32,
+                                      topics=8, noise_sigma=0.3, seed=10))
+    for rows, queries in ((gaussian, rng.normal(size=(512, 32)).astype(np.float32)),
+                          (syn.candidates, syn.train_contexts)):
+        singles = [exact_argmax(q, rows).index for q in queries]
+        np.testing.assert_array_equal(argmax_batch(queries, rows), singles)
+    assert built[0] is None
+    assert built[1] is not None and built[1].centers.shape[0] == 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_contexts_are_named_before_candidates_on_the_ball_path(small, bad):
+    rows = clustered(np.random.default_rng(11), 128, 2, 2)
+    queries = np.ones((16, 3), dtype=np.float32)
+    rows[77, 0] = bad
+    with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+        argmax_batch(queries, rows)
+    queries[12, 1] = bad
+    with pytest.raises(ValueError, match="^contexts contains non-finite entries$"):
+        argmax_batch(queries, rows)
+    assert small == []  # both raised before any ball was built
+
+
+def test_widened_search_takes_the_ball_path_in_float64(small):
+    # scores near 2**200 overflow float32: the batch is searched again in
+    # float64, where the balls are built from the float64 rows
+    rng = np.random.default_rng(12)
+    rows = clustered(rng, 128, 2, 2) * np.float32(2.0**100)
+    queries = rng.integers(-2, 3, size=(16, 3)).astype(np.float32) * np.float32(2.0**100)
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
+    (balls,) = small
+    assert balls is not None and balls.groups[0][1].dtype == np.float64
+
+
+def test_rows_whose_products_overflow_float32_take_the_scan(small):
+    # tiny queries keep the scores in float32, but the rows' squared norms
+    # and their products with the centers would overflow: no balls
+    rng = np.random.default_rng(13)
+    rows = clustered(rng, 128, 2, 2) * np.float32(2.0**70)
+    queries = rng.integers(-2, 3, size=(16, 3)).astype(np.float32) * np.float32(2.0**-60)
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
+    assert small == [None]

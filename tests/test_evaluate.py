@@ -25,6 +25,7 @@ from mipscreen.screening import (
     pack_subsets,
     train,
 )
+from mipscreen.search import SearchResult
 
 
 def make_model(centroids, bools, lam=0.1):
@@ -210,6 +211,14 @@ class TestBenchLatency:
         assert stats.count == 15
         assert stats.mean_ns > 0
         assert stats.p50_ns <= stats.p99_ns
+
+    def test_screened_disagreement_on_a_contained_winner_raises(self, small_world, monkeypatch):
+        trainset, covered_test = small_world
+        model = train(trainset, TrainConfig(k=3, lam=1e-4, alternations=3, seed=4)).model
+        wrong = SearchResult(-1, 0.0)
+        monkeypatch.setattr("mipscreen.evaluate.screened_search", lambda *a: wrong)
+        with pytest.raises(RuntimeError, match="disagreed"):
+            bench_latency("screened", covered_test[:10], trainset.candidates, model, iters=1)
 
     def test_exact_mode(self, small_world):
         trainset, covered_test = small_world

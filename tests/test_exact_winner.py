@@ -71,12 +71,15 @@ def oracle_screened(q, model, candidates):
     return int(members[oracle(q, candidates[members])[0]])
 
 
-@pytest.mark.parametrize("tile", [None, 2, 3])
+# tile 1 also scores one query per block, so a batch of 8 queries over 8
+# or more rows takes the ball path (a single ball of one-row groups)
+@pytest.mark.parametrize("tile", [None, 2, 3, 1])
 @settings(max_examples=150, deadline=None)
 @given(problem=screening_problem())
 def test_every_path_matches_the_rational_oracle(tile, problem):
     queries, candidates, model = problem
-    with mock.patch.object(core, "_TILE_ROWS", tile or core._TILE_ROWS):
+    with mock.patch.object(core, "_TILE_ROWS", tile or core._TILE_ROWS), \
+            mock.patch.object(core, "_BLOCK_ROWS", 1 if tile == 1 else core._BLOCK_ROWS):
         want = [oracle(q, candidates)[0] for q in queries]
         assert [exact_argmax(q, candidates).index for q in queries] == want
         np.testing.assert_array_equal(argmax_batch(queries, candidates), want)

@@ -191,6 +191,19 @@ class TestComputeAlpha:
         unlabeled = np.setdiff1d(np.arange(candidates.shape[0]), labels)
         np.testing.assert_array_equal(alpha[:, unlabeled], 0.0)
 
+    def test_repeated_labels_sum_as_add_at_does(self):
+        # many contexts share each label, so each sum has many terms in a
+        # fixed order; the bytes must equal the np.add.at form
+        rng = np.random.default_rng(38)
+        contexts, candidates, centroids, _ = random_instance(rng, m=300, n=7, k=4)
+        labels = rng.integers(0, 3, size=300)
+        ts = ScreeningTrainSet(contexts, candidates, labels)
+        mu = soft_assign_batch(contexts, centroids)
+        label_mass = np.zeros((7, 4))
+        np.add.at(label_mass, labels, mu)
+        want = 0.01 * mu.sum(axis=0)[:, None] - (0.01 + 1.0) * label_mass.T
+        assert compute_alpha(mu, ts, 0.01).tobytes() == want.tobytes()
+
     def test_zero_mass_cluster_row_vanishes(self):
         contexts = np.array([[1.0, 0.0], [1.0, 0.1]], dtype=np.float32)
         candidates = np.eye(2, dtype=np.float32)
