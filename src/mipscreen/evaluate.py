@@ -82,6 +82,11 @@ def evaluate_model(model: ScreeningModel, contexts, candidates) -> EvalReport:
     contexts = _contexts(contexts)
     clusters = assign_clusters(contexts, model)
     oracle = argmax_batch(contexts, model.check_candidates(candidates))
+    return _report(model, clusters, oracle)
+
+
+def _report(model: ScreeningModel, clusters, oracle) -> EvalReport:
+    """Metrics of contexts with these hard clusters and exact winners."""
     return EvalReport(
         accuracy=float(np.mean(model.searched_bools[clusters, oracle])),
         mean_subset_size=float(model.subset_sizes[clusters].mean()),
@@ -98,7 +103,9 @@ def grid_sweep(
 ) -> list:
     """One trained model per (K, lambda) cell, each evaluated on the
     held-out contexts, which are checked before any training. A cell that
-    fails to train is marked and skipped; the sweep continues."""
+    fails to train is marked and skipped; the sweep continues. The
+    contexts' exact winners do not depend on the cell, so they are found
+    once per sweep."""
     if not len(k_list) or not len(lam_list):
         raise ValueError("k_list and lam_list must be non-empty")
     test_contexts = _contexts(test_contexts)
@@ -107,13 +114,20 @@ def grid_sweep(
             f"dimension mismatch: test contexts {test_contexts.shape[1]} vs "
             f"train set {trainset.contexts.shape[1]}"
         )
+    try:
+        oracle = argmax_batch(test_contexts, trainset.candidates)
+    except (ValueError, FloatingPointError) as exc:
+        oracle = exc  # fails each cell where evaluate_model would have
     cells = []
     for k in sorted(set(int(v) for v in k_list)):
         for lam in sorted(set(float(v) for v in lam_list)):
             cfg = replace(base_cfg, k=k, lam=lam)
             try:
                 model = train(trainset, cfg).model
-                report = evaluate_model(model, test_contexts, trainset.candidates)
+                clusters = assign_clusters(test_contexts, model)
+                if isinstance(oracle, Exception):
+                    raise oracle
+                report = _report(model, clusters, oracle)
                 cells.append(
                     GridCell(
                         k,

@@ -211,11 +211,16 @@ def pair_loss(p: float, y: int, lam: float) -> float:
     return lam * p * (1 - y) + (1.0 - p) * y
 
 
-def _cluster_costs(subset_bools, labels, lam) -> np.ndarray:
+def _costs(pop, label_bits, lam) -> np.ndarray:
     """(M, K) weight of context i in cluster k: lam * |s_k| - (lam + 1) *
-    s_k[y_i]. The objective is M + sum(mu * costs)."""
-    pop = subset_bools.sum(axis=1).astype(np.float64)
-    return lam * pop[None, :] - (lam + 1.0) * subset_bools[:, labels].T
+    s_k[y_i], from the subset sizes pop (K,) and the bits at each
+    context's label (K, M). The objective is M + sum(mu * costs)."""
+    return lam * pop.astype(np.float64)[None, :] - (lam + 1.0) * label_bits.T
+
+
+def _cluster_costs(subset_bools, labels, lam) -> np.ndarray:
+    """`_costs` of (K, N) subset bits, each candidate its own column."""
+    return _costs(subset_bools.sum(axis=1), subset_bools[:, labels], lam)
 
 
 def _objective(mu, costs) -> float:
@@ -229,26 +234,46 @@ def total_loss(model: ScreeningModel, trainset: ScreeningTrainSet) -> float:
     return _objective(mu, _cluster_costs(model.subset_bools, trainset.labels, model.lam))
 
 
+def _expand(x: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """(K, D + 1) label-column values as (K, N): each label column at its
+    candidate, the rest column at every other candidate."""
+    out = np.empty((x.shape[0], n), dtype=x.dtype)
+    out[:] = x[:, -1:]
+    out[:, cols] = x[:, :-1]
+    return out
+
+
+def _label_alpha(mu: np.ndarray, inv: np.ndarray, d: int, lam) -> np.ndarray:
+    """(K, D + 1) alpha in label columns: column j < D is the j-th
+    distinct label (inv maps each context to its label's column), column
+    D the rest column, for every candidate no context has as its label.
+    label_mass[c, j] sums mu[:, c] over the contexts in column j in
+    context order, as np.add.at would; the rest column's is 0."""
+    label_mass = np.empty((mu.shape[1], d + 1))
+    for c in range(mu.shape[1]):
+        label_mass[c] = np.bincount(inv, weights=mu[:, c], minlength=d + 1)
+    return lam * mu.sum(axis=0)[:, None] - (lam + 1.0) * label_mass
+
+
 def compute_alpha(
     mu_matrix: np.ndarray, trainset: ScreeningTrainSet, lam: float
 ) -> np.ndarray:
     """Per-bit coefficients of the objective once centroids are fixed.
 
     alpha[k, j] weights subset bit s_k[j]; the bit's optimal value is 1
-    exactly when the coefficient is <= 0.
+    exactly when the coefficient is <= 0. A candidate no context has as
+    its label gets lam * sum_i mu[i, k], which is > 0 unless cluster k's
+    mass is 0, so a subset holds only labelled candidates, or every
+    candidate when its cluster's mass is 0. This (K, N) table is the
+    expansion of the label-column form `train` works in (`_label_alpha`).
     """
     mu = np.asarray(mu_matrix, dtype=np.float64)
-    m, k = mu.shape
+    m, _ = mu.shape
     if m != trainset.contexts.shape[0]:
         raise ValueError("mu row count must match context count")
-    n = trainset.candidates.shape[0]
-    # label_mass[c, j]: mu[:, c] summed over the contexts labelled j, in
-    # context order, the order np.add.at would sum in
-    label_mass = np.empty((k, n))
-    for c in range(k):
-        label_mass[c] = np.bincount(trainset.labels, weights=mu[:, c], minlength=n)
-    col_mass = mu.sum(axis=0)
-    return lam * col_mass[:, None] - (lam + 1.0) * label_mass
+    cols, inv = np.unique(trainset.labels, return_inverse=True)
+    alpha = _label_alpha(mu, inv, cols.size, lam)
+    return _expand(alpha, cols, trainset.candidates.shape[0])
 
 
 def update_subsets(alpha: np.ndarray) -> np.ndarray:
@@ -256,6 +281,15 @@ def update_subsets(alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha)
     check_finite(alpha, "alpha")
     return alpha <= 0.0
+
+
+def _subset_step(mu, inv, d, n, lam):
+    """The closed-form subset step in label columns: the (K, D + 1) bits
+    and the (M, K) cost table they give. The rest bit counts for the N - D
+    unlabelled candidates."""
+    bits = update_subsets(_label_alpha(mu, inv, d, lam))
+    pop = bits[:, :d].sum(axis=1) + (n - d) * bits[:, d]
+    return bits, _costs(pop, bits[:, inv], lam)
 
 
 def _gradient(centroids64, contexts64, costs):
@@ -286,10 +320,19 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     start empty. Each alternation takes the closed-form subset step and
     then SGD epochs on the centroids. The returned model is the snapshot
     with the lowest objective observed right after a subset step.
+
+    A subset holds only labelled candidates, or every candidate when its
+    cluster's mass is 0 (see `compute_alpha`), so the subset step and the
+    cost table work over the distinct labels plus one rest column
+    (`_label_alpha`): one alternation costs O(K x distinct labels), and
+    the subsets are expanded to (K, N) once, for the returned model.
     """
     m, _ = trainset.contexts.shape
     if cfg.k > m:
         raise ValueError(f"k={cfg.k} exceeds context count {m}")
+    n = trainset.candidates.shape[0]
+    cols, inv = np.unique(trainset.labels, return_inverse=True)
+    d = cols.size
 
     contexts64 = trainset.contexts.astype(np.float64)
     centroids = spherical_kmeans(
@@ -304,12 +347,11 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
         mu = _softmax_rows(contexts64 @ centroids.T)
         before.append(_objective(mu, costs))
 
-        subsets = update_subsets(compute_alpha(mu, trainset, cfg.lam))
-        costs = _cluster_costs(subsets, trainset.labels, cfg.lam)
+        bits, costs = _subset_step(mu, inv, d, n, cfg.lam)
         loss = _objective(mu, costs)
         after.append(loss)
         if best is None or loss < best[0]:
-            best = (loss, step, centroids.copy(), subsets.copy())
+            best = (loss, step, centroids.copy(), bits)
 
         for _ in range(cfg.epochs_per_alternation):
             perm = rng.permutation(m)
@@ -318,12 +360,12 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
                 grad = _gradient(centroids, contexts64[batch], costs[batch])
                 centroids -= cfg.learning_rate * (grad / batch.size)
 
-    _, best_step, best_centroids, best_subsets = best
+    _, best_step, best_centroids, best_bits = best
     model = ScreeningModel(
         centroids=best_centroids.astype(np.float32),
-        subsets=pack_subsets(best_subsets),
+        subsets=pack_subsets(_expand(best_bits, cols, n)),
         lam=cfg.lam,
-        n_candidates=trainset.candidates.shape[0],
+        n_candidates=n,
     )
     return TrainResult(model, before, after, best_step)
 

@@ -185,3 +185,66 @@ def teacher_ranking_one_by_one(teacher, contexts, pool, n_candidates, seed):
         gt = int(ids[favorites_one_by_one(teacher, [c], [pool[ids]])[0]])
         out.append((i, gt, tuple(int(j) for j in ids if j != gt)))
     return out
+
+
+def dense_alpha(mu, labels, n, lam):
+    """(K, N) subset-bit coefficients with one column per candidate:
+    lam * sum_i mu[i, k] - (lam + 1) * (mu[:, k] summed over the contexts
+    labelled j, in context order)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    label_mass = np.empty((mu.shape[1], n))
+    for c in range(mu.shape[1]):
+        label_mass[c] = np.bincount(labels, weights=mu[:, c], minlength=n)
+    return lam * mu.sum(axis=0)[:, None] - (lam + 1.0) * label_mass
+
+
+def dense_bits(alpha):
+    """Keep every bit whose coefficient is <= 0; refuse non-finite ones."""
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha contains non-finite entries")
+    return alpha <= 0.0
+
+
+def dense_costs(bits, labels, lam):
+    """(M, K) cost table from (K, N) subset bits."""
+    pop = bits.sum(axis=1).astype(np.float64)
+    return lam * pop[None, :] - (lam + 1.0) * bits[:, labels].T
+
+
+def _softmax_rows(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def dense_train(contexts, candidates, labels, cfg, initial_centroids):
+    """The alternating trainer over all N candidate columns in every
+    alternation: the same k-means start, random draws and arithmetic as
+    `screening.train`. Returns (float32 centroids, (K, N) subset bits,
+    losses before and after each subset step, best step)."""
+    contexts64 = np.asarray(contexts, dtype=np.float32).astype(np.float64)
+    n, m = len(candidates), contexts64.shape[0]
+    centroids = np.asarray(initial_centroids).astype(np.float64)
+    costs = np.zeros((m, cfg.k))
+    rng = np.random.default_rng(cfg.seed)
+    before, after, best = [], [], None
+    for step in range(cfg.alternations):
+        mu = _softmax_rows(contexts64 @ centroids.T)
+        before.append(m + float(np.einsum("ik,ik->", mu, costs)))
+        bits = dense_bits(dense_alpha(mu, labels, n, cfg.lam))
+        costs = dense_costs(bits, labels, cfg.lam)
+        loss = m + float(np.einsum("ik,ik->", mu, costs))
+        after.append(loss)
+        if best is None or loss < best[0]:
+            best = (loss, step, centroids.copy(), bits.copy())
+        for _ in range(cfg.epochs_per_alternation):
+            perm = rng.permutation(m)
+            for lo in range(0, m, cfg.batch_size):
+                batch = perm[lo : lo + cfg.batch_size]
+                x, c = contexts64[batch], costs[batch]
+                p = _softmax_rows(x @ centroids.T)
+                inner = np.einsum("ik,ik->i", p, c)
+                grad = (p * (c - inner[:, None])).T @ x
+                centroids -= cfg.learning_rate * (grad / batch.size)
+    _, best_step, best_centroids, best_bits = best
+    return best_centroids.astype(np.float32), best_bits, before, after, best_step

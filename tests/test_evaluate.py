@@ -25,7 +25,7 @@ from mipscreen.screening import (
     pack_subsets,
     train,
 )
-from mipscreen.search import SearchResult
+from mipscreen.search import SearchResult, argmax_batch
 
 
 def make_model(centroids, bools, lam=0.1):
@@ -194,6 +194,38 @@ class TestGridSweep:
         )
         keys = [(cell.k, cell.lam) for cell in cells]
         assert keys == sorted(keys)
+
+    def test_oracle_found_once_per_sweep(self, small_world, monkeypatch):
+        from mipscreen import evaluate
+
+        trainset, covered_test = small_world
+        calls = []
+
+        def counting(contexts, candidates):
+            calls.append(contexts.shape[0])
+            return argmax_batch(contexts, candidates)
+
+        monkeypatch.setattr(evaluate, "argmax_batch", counting)
+        cells = grid_sweep(trainset, covered_test, [2, 3], [1e-5, 1e-4], TrainConfig(seed=6))
+        assert calls == [covered_test.shape[0]]
+        for cell in cells:
+            model = train(trainset, TrainConfig(k=cell.k, lam=cell.lam, seed=6)).model
+            report = evaluate_model(model, covered_test, trainset.candidates)
+            assert (cell.accuracy, cell.mean_subset) == (report.accuracy, report.mean_subset_size)
+
+    def test_oracle_error_fails_each_trained_cell(self, small_world):
+        trainset, covered_test = small_world
+        candidates = trainset.candidates.copy()
+        candidates[5, 2] = np.nan
+        broken = ScreeningTrainSet(trainset.contexts, candidates, trainset.labels)
+        huge_k = trainset.contexts.shape[0] + 1
+        cells = grid_sweep(broken, covered_test, [2, huge_k], [1e-4], TrainConfig(seed=3))
+        model = train(broken, TrainConfig(k=2, lam=1e-4, seed=3)).model
+        with pytest.raises(ValueError) as want:
+            evaluate_model(model, covered_test, candidates)
+        assert [cell.error for cell in cells] == [
+            str(want.value), f"k={huge_k} exceeds context count {trainset.contexts.shape[0]}"
+        ]
 
     def test_empty_lists_rejected(self, small_world):
         trainset, covered_test = small_world

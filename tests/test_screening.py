@@ -24,9 +24,24 @@ from mipscreen.screening import (
     total_loss,
     train,
     unpack_subsets,
+    update_subsets,
+)
+from mipscreen.screening import (
+    _cluster_costs,
+    _expand,
+    _label_alpha,
+    _subset_step,
 )
 from mipscreen.search import exact_argmax
-from oracles import enumerate_min_loss, fd_gradient, naive_total_loss
+from oracles import (
+    dense_alpha,
+    dense_bits,
+    dense_costs,
+    dense_train,
+    enumerate_min_loss,
+    fd_gradient,
+    naive_total_loss,
+)
 
 
 def make_model(centroids, bools, lam):
@@ -354,6 +369,121 @@ class TestTrain:
         cfg = TrainConfig(k=4, lam=0.05, alternations=6, learning_rate=0.2, seed=3)
         result = train(ts, cfg)
         assert min(result.losses_after_subset) == result.losses_after_subset[result.best_step]
+
+
+class TestLabelColumns:
+    """The label-column subset step and its (K, N) expansions against the
+    dense reference, bit for bit."""
+
+    def _check(self, mu, labels, n, lam):
+        labels = np.asarray(labels)
+        rng = np.random.default_rng(60)
+        ts = ScreeningTrainSet(
+            rng.normal(size=(labels.size, 3)).astype(np.float32),
+            rng.normal(size=(n, 3)).astype(np.float32),
+            labels,
+        )
+        want_alpha = dense_alpha(mu, labels, n, lam)
+        want_bits = dense_bits(want_alpha)
+        alpha = compute_alpha(mu, ts, lam)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        bits = update_subsets(alpha)
+        assert bits.tobytes() == want_bits.tobytes()
+        assert (
+            _cluster_costs(bits, labels, lam).tobytes()
+            == dense_costs(want_bits, labels, lam).tobytes()
+        )
+        cols, inv = np.unique(labels, return_inverse=True)
+        label_bits, costs = _subset_step(mu, inv, cols.size, n, lam)
+        assert _expand(label_bits, cols, n).tobytes() == want_bits.tobytes()
+        assert costs.tobytes() == dense_costs(want_bits, labels, lam).tobytes()
+        return want_bits
+
+    def _mu(self, rng, m, k):
+        contexts = rng.normal(size=(m, 4)).astype(np.float32)
+        return soft_assign_batch(contexts, rng.normal(size=(k, 4)).astype(np.float32))
+
+    def test_duplicate_labels(self):
+        rng = np.random.default_rng(61)
+        for lam in (1e-5, 1e-3, 0.2):
+            labels = rng.integers(0, 5, size=80)
+            self._check(self._mu(rng, 80, 4), labels, 12, lam)
+
+    def test_labels_cover_every_column(self):
+        rng = np.random.default_rng(62)
+        labels = rng.permutation(np.arange(30) % 9)
+        bits = self._check(self._mu(rng, 30, 3), labels, 9, 1e-3)
+        assert bits.any()
+
+    def test_zero_mass_cluster_keeps_every_unlabelled_candidate(self):
+        rng = np.random.default_rng(63)
+        mu = self._mu(rng, 40, 3)
+        mu[:, 1] = 0.0
+        labels = rng.integers(0, 6, size=40)
+        bits = self._check(mu, labels, 15, 0.03)
+        assert bits[1].all()
+        assert not bits[0, 6:].any() and not bits[2, 6:].any()
+
+    def test_large_lambda_empties_subsets(self):
+        # every label holds about 1% of each cluster's mass, below lam / (lam + 1)
+        rng = np.random.default_rng(64)
+        mu = rng.dirichlet(np.full(4, 50.0), size=200)
+        labels = rng.permutation(np.arange(200) % 100)
+        bits = self._check(mu, labels, 150, 0.03)
+        assert not bits.any()
+
+    def test_lambda_zero_through_compute_alpha(self):
+        rng = np.random.default_rng(65)
+        labels = rng.integers(0, 7, size=25)
+        bits = self._check(self._mu(rng, 25, 3), labels, 20, 0.0)
+        assert bits.all()
+
+    def test_nan_mass_raises(self):
+        rng = np.random.default_rng(66)
+        for n in (6, 20):  # labels cover every column, then only some
+            mu = self._mu(rng, 30, 3)
+            mu[4, 2] = np.nan
+            labels = np.arange(30) % 6
+            ts = ScreeningTrainSet(
+                rng.normal(size=(30, 3)).astype(np.float32),
+                rng.normal(size=(n, 3)).astype(np.float32),
+                labels,
+            )
+            with pytest.raises(ValueError, match="^alpha contains non-finite entries$"):
+                update_subsets(compute_alpha(mu, ts, 1e-3))
+            cols, inv = np.unique(labels, return_inverse=True)
+            with pytest.raises(ValueError, match="^alpha contains non-finite entries$"):
+                update_subsets(_label_alpha(mu, inv, cols.size, 1e-3))
+
+
+class TestTrainMatchesDenseReference:
+    @pytest.fixture(scope="class", params=["topics", "gaussian"])
+    def trainset(self, request):
+        from mipscreen.data import SyntheticSpec, build_labels, gen_synthetic
+
+        if request.param == "topics":
+            syn = gen_synthetic(SyntheticSpec(
+                m_train=400, m_test=1, n_candidates=300, dim=8, topics=12, seed=3))
+            contexts, candidates = syn.train_contexts, syn.candidates
+        else:
+            rng = np.random.default_rng(67)
+            contexts = rng.normal(size=(150, 5)).astype(np.float32)
+            candidates = rng.normal(size=(60, 5)).astype(np.float32)
+        return ScreeningTrainSet(contexts, candidates, build_labels(contexts, candidates))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("lam", [1e-5, 1e-3, 0.03])
+    def test_bitwise(self, trainset, seed, lam):
+        cfg = TrainConfig(k=5, lam=lam, alternations=6, seed=seed)
+        got = train(trainset, cfg)
+        start = spherical_kmeans(trainset.contexts, KMeansConfig(k=cfg.k, seed=seed))
+        centroids, bits, before, after, best_step = dense_train(
+            trainset.contexts, trainset.candidates, trainset.labels, cfg, start)
+        assert got.model.centroids.tobytes() == centroids.tobytes()
+        assert got.model.subsets.tobytes() == pack_subsets(bits).tobytes()
+        assert got.losses_before_subset == before
+        assert got.losses_after_subset == after
+        assert got.best_step == best_step
 
 
 class TestPredictAndSearch:
