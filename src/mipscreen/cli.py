@@ -7,6 +7,7 @@ configuration as leading # comment lines so results are self-describing.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -30,7 +31,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; each parse_args call fills a fresh
+    namespace, so no flag value carries over between `run` calls."""
     p = _Parser(prog="mipscreen", description=__doc__)
     sub = p.add_subparsers(dest="command", metavar="command")
 

@@ -66,6 +66,13 @@ class ScreeningModel:
                 f"packed subsets must have shape {expect} uint8, "
                 f"got {self.subsets.shape} {self.subsets.dtype}"
             )
+        # a row whose only bits lie past N would pass as non-empty but
+        # unpack to no members (`searched_bools`)
+        pad = -self.n_candidates % 8  # unused high bits of the last byte
+        if pad and (self.subsets[:, -1] >> (8 - pad)).any():
+            raise ValueError(
+                f"packed subsets set bits past candidate {self.n_candidates - 1}"
+            )
 
     @property
     def k(self) -> int:

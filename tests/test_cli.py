@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from mipscreen import cli
 from mipscreen.cli import run
 from mipscreen.core import inner_product
 from mipscreen.data import (
@@ -307,6 +308,60 @@ class TestExitCodes:
         assert "magic" in capsys.readouterr().err
 
 
+class TestCachedParser:
+    """One parser serves every `run` call in a process; no flag value may
+    carry over from one call to the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_screened_model_does_not_carry_over(self, corpus, tmp_path, capsys):
+        candidates = read_embeddings(corpus / "candidates.emb")
+        bits = np.zeros((1, candidates.shape[0]), dtype=bool)
+        bits[0, 0] = True  # every query answers candidate 0
+        model_path = tmp_path / "one.scrn"
+        save_model(ScreeningModel(np.ones((1, candidates.shape[1]), dtype=np.float32),
+                                  pack_subsets(bits), 1e-4, candidates.shape[0]), model_path)
+        args = ["search", "--context-file", str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb")]
+        assert run(args + ["--exact"]) == 0
+        exact_out = capsys.readouterr().out
+        assert run(args + ["--screened", "--model", str(model_path)]) == 0
+        screened_out = capsys.readouterr().out
+        assert screened_out != exact_out
+        assert {line.split()[0] for line in screened_out.splitlines()} == {"0"}
+        assert run(args + ["--exact"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == exact_out and captured.err == ""
+        assert run(args) == 0  # the default mode is exact
+        assert capsys.readouterr().out == exact_out
+
+    def test_defaults_return_after_a_flag(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "train-screen", lambda args: seen.append(args) or 0)
+        argv = ["train-screen", "--contexts", "c.emb", "--candidates", "r.emb",
+                "--labels", "l.txt", "--out-model", "m.scrn"]
+        assert run(argv + ["--t", "3", "--k", "5", "--lambda", "0.01"]) == 0
+        assert run(argv) == 0
+        assert [(a.t, a.k, a.lam) for a in seen] == [(3, 5, 0.01), (10, 10, 1e-6)]
+        assert seen[0] is not seen[1]
+
+    def test_usage_error_and_help_after_a_good_call(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "labels", lambda args: 0)
+        good = ["labels", "--contexts", "c.emb", "--candidates", "r.emb", "--out", "l.txt"]
+        assert run(good) == 0
+        assert run(good + ["--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --bogus" in err and "usage" in err.lower()
+        assert run(["labels", "--contexts", "c.emb"]) == 1
+        assert "required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["labels", "--help"])
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out.lower()
+        assert run(good) == 0
+
+
 class TestInputMismatch:
     def _model(self, tmp_path, dim, n=60):
         path = tmp_path / f"d{dim}.scrn"
@@ -425,6 +480,21 @@ class TestContainerFuzz:
                 "--context-file", str(corpus / "test_contexts.emb"),
                 "--candidates", str(corpus / "candidates.emb")]
         self._fuzz(good.read_bytes(), 25, bad, argv, capsys)
+
+    @pytest.mark.parametrize("command", ["search", "eval-screen"])
+    def test_scrn_padding_bits(self, corpus, tmp_path, capsys, command):
+        path = tmp_path / "pad.scrn"
+        save_model(ScreeningModel(np.eye(2, 8, dtype=np.float32),
+                                  pack_subsets(np.ones((2, 60), dtype=bool)), 0.5, 60), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = bytes(7) + b"\x80"  # the last row keeps only bit 63 of 60
+        path.write_bytes(bytes(blob))
+        contexts = "--context-file" if command == "search" else "--contexts"
+        argv = [command, "--model", str(path), contexts, str(corpus / "test_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb")]
+        if command == "search":
+            argv.append("--screened")
+        _assert_one_line_data_error(argv, capsys, "packed subsets set bits past candidate 59")
 
     def test_pair(self, tmp_path, capsys):
         good, bad = tmp_path / "good.pair", tmp_path / "bad.pair"

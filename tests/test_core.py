@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from mipscreen.core import (
+    check_finite,
     inner_product,
     l2_normalize,
     normalize_rows,
     score_dual,
     sigmoid,
     sigmoid_array,
+    write_container,
 )
+from mipscreen.data import PairSpec, gen_pair_data, read_embeddings, read_pairs, write_pairs
+from mipscreen.distill import PairSet
 from oracles import masked_sigmoid
 
 
@@ -131,3 +135,64 @@ class TestL2Normalize:
     def test_normalize_rows_rejects_zero_row(self):
         with pytest.raises(ValueError, match="zero row 1"):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+
+
+class TestCheckFinite:
+    """One dot product clears a finite float array; the entries decide
+    otherwise, with the same message."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 17, 34])
+    def test_non_finite_entry_raises(self, dtype, value, position):
+        arr = np.ones((5, 7), dtype=dtype)
+        arr.flat[position] = value
+        with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+            check_finite(arr, "x")
+
+    @pytest.mark.parametrize("dtype, value", [(np.float32, 3e19), (np.float64, 1e200)])
+    def test_overflowing_squares_pass(self, dtype, value):
+        arr = np.full((4, 3), value, dtype=dtype)
+        arr[1, 2] = -value
+        assert not np.isfinite(np.vdot(arr, arr))
+        assert check_finite(arr, "x") is arr
+
+    def test_finite_array_is_returned(self):
+        arr = np.random.default_rng(0).normal(size=(6, 5)).astype(np.float32)
+        assert check_finite(arr) is arr
+
+    def test_non_contiguous_views(self):
+        arr = np.ones((4, 6), dtype=np.float32)
+        arr[2, 1] = np.nan
+        skipped = arr[:, ::2]  # leaves the NaN out
+        assert check_finite(skipped, "x") is skipped
+        for view in (arr[:, 1::2], arr.T, arr[::-1]):
+            with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+                check_finite(view, "x")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_empty_array_passes(self, dtype):
+        arr = np.empty((0, 3), dtype=dtype)
+        assert check_finite(arr) is arr
+
+    def test_integer_array_passes(self):
+        arr = np.array([[np.iinfo(np.int64).max, -1], [0, 7]])
+        assert check_finite(arr) is arr
+
+    def test_reader_messages(self, tmp_path):
+        path = tmp_path / "nan.emb"
+        write_container(path, b"EMB1", "<II", (2, 3),
+                        [np.array([[1, 2, 3], [4, np.inf, 6]], dtype="<f4")])
+        with pytest.raises(ValueError, match="^embedding matrix contains non-finite entries$"):
+            read_embeddings(path)
+        pairs, _, _ = gen_pair_data(PairSpec(n_train=5, n_test=5, seed=9))
+        fields = ["ctx_features", "resp_features", "labels", "teacher_scores"]
+        for name, label in (("ctx_features", "context features"),
+                            ("resp_features", "response features"),
+                            ("teacher_scores", "teacher scores")):
+            arrays = {f: getattr(pairs, f).copy() for f in fields}
+            arrays[name].flat[-1] = np.nan
+            path = tmp_path / f"{name}.pair"
+            write_pairs(PairSet(*(arrays[f] for f in fields)), path)
+            with pytest.raises(ValueError, match=f"^{label} contains non-finite entries$"):
+                read_pairs(path)

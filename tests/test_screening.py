@@ -618,6 +618,36 @@ class TestEmptySubsetFallback:
             assert model.subset_sizes[k] == bools[k].sum()
 
 
+class TestPaddingBits:
+    """The last byte's bits past N must be clear: set, they would make a
+    row non-empty that unpacks to no members."""
+
+    def test_issue_case_rejected(self):
+        with pytest.raises(ValueError, match="^packed subsets set bits past candidate 14$"):
+            ScreeningModel(np.eye(1, 4, dtype=np.float32),
+                           np.array([[0x00, 0x80]], dtype=np.uint8), 0.5, 15)
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_every_padding_bit(self, n):
+        centroids = np.eye(2, 3, dtype=np.float32)
+        full = pack_subsets(np.ones((2, n), dtype=bool))
+        ScreeningModel(centroids, full, 0.5, n)
+        for bit in range(8 - (-n % 8), 8):  # the last byte's unused bits
+            bad = full.copy()
+            bad[1, -1] |= 1 << bit
+            with pytest.raises(ValueError, match="past candidate"):
+                ScreeningModel(centroids, bad, 0.5, n)
+
+    def test_load_model_rejects(self, tmp_path):
+        path = tmp_path / "pad.scrn"
+        save_model(make_model(np.eye(2, 3), np.zeros((2, 15), dtype=bool), 0.5), path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 0x80  # the last row's last byte: bit 15 of 15 candidates
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="past candidate 14"):
+            load_model(path)
+
+
 class TestLambdaMonotonicity:
     def test_subsets_shrink_as_lambda_rises(self):
         rng = np.random.default_rng(53)
