@@ -7,6 +7,7 @@ configuration as leading # comment lines so results are self-describing.
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -40,23 +41,24 @@ def _build_parser() -> _Parser:
 
     # TrainConfig's SGD and seed flags, shared by train-screen and grid
     sgd = _Parser(add_help=False)
-    sgd.add_argument("--t", type=int, default=10, help="alternations (default 10)")
-    sgd.add_argument("--lr", type=float, default=0.05, help="SGD learning rate (default 0.05)")
-    sgd.add_argument("--epochs", type=int, default=1,
-                     help="SGD epochs per alternation (default 1)")
-    sgd.add_argument("--batch", type=int, default=256, help="SGD batch size (default 256)")
-    sgd.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
+    _config_flags(sgd, scr.TrainConfig,
+                  ("--t", "alternations", "alternations"),
+                  ("--lr", "learning_rate", "SGD learning rate"),
+                  ("--epochs", "epochs_per_alternation", "SGD epochs per alternation"),
+                  ("--batch", "batch_size", "SGD batch size"),
+                  ("--seed", "seed", "training seed"))
 
-    g = sub.add_parser("gen", parents=[], help="generate a synthetic corpus",
+    g = sub.add_parser("gen", help="generate a synthetic corpus",
                        description="Write train/test context and candidate "
                        "embedding files plus topic tags into --out-dir.")
-    g.add_argument("--m-train", type=int, default=5000, help="training contexts (default 5000)")
-    g.add_argument("--m-test", type=int, default=500, help="held-out contexts (default 500)")
-    g.add_argument("--n", type=int, default=1000, help="candidate count (default 1000)")
-    g.add_argument("--d", type=int, default=16, help="embedding dimension (default 16)")
-    g.add_argument("--topics", type=int, default=20, help="latent topic count (default 20)")
-    g.add_argument("--sigma", type=float, default=0.3, help="noise norm scale (default 0.3)")
-    g.add_argument("--seed", type=int, default=42, help="generator seed (default 42)")
+    _config_flags(g, dio.SyntheticSpec,
+                  ("--m-train", "m_train", "training contexts"),
+                  ("--m-test", "m_test", "held-out contexts"),
+                  ("--n", "n_candidates", "candidate count"),
+                  ("--d", "dim", "embedding dimension"),
+                  ("--topics", "topics", "latent topic count"),
+                  ("--sigma", "noise_sigma", "noise norm scale"),
+                  ("--seed", "seed", "generator seed"))
     g.add_argument("--out-dir", required=True, help="output directory (required)")
 
     l = sub.add_parser("labels", help="compute oracle best-response labels")
@@ -68,9 +70,8 @@ def _build_parser() -> _Parser:
     t.add_argument("--contexts", required=True, help="EMB1 training contexts (required)")
     t.add_argument("--candidates", required=True, help="EMB1 candidates (required)")
     t.add_argument("--labels", required=True, help="labels text file (required)")
-    t.add_argument("--k", type=int, default=10, help="cluster count (default 10)")
-    t.add_argument("--lambda", dest="lam", type=float, default=1e-6,
-                   help="balancing coefficient (default 1e-6)")
+    _config_flags(t, scr.TrainConfig,
+                  ("--k", "k", "cluster count"), ("--lambda", "lam", "balancing coefficient"))
     t.add_argument("--out-model", required=True, help="output SCRN file (required)")
 
     e = sub.add_parser("eval-screen", help="evaluate a trained screening model")
@@ -102,27 +103,24 @@ def _build_parser() -> _Parser:
 
     d = sub.add_parser("distill", help="train a dual encoder against cached teacher scores")
     d.add_argument("--pairs", required=True, help="PAIR training file (required)")
-    d.add_argument("--beta", type=float, default=1.0,
-                   help="teacher score gap weight (default 1.0)")
-    d.add_argument("--lr", type=float, default=0.5, help="SGD learning rate (default 0.5)")
-    d.add_argument("--epochs", type=int, default=20, help="SGD epochs (default 20)")
-    d.add_argument("--batch", type=int, default=64, help="SGD batch size (default 64)")
+    _config_flags(d, dst.DistillConfig,
+                  ("--beta", "beta", "teacher score gap weight"),
+                  ("--lr", "learning_rate", "SGD learning rate"),
+                  ("--epochs", "epochs", "SGD epochs"),
+                  ("--batch", "batch_size", "SGD batch size"))
     d.add_argument("--dim", type=int, default=0,
                    help="embedding width (default 0 = half the feature length, at least 2)")
-    d.add_argument("--seed", type=int, default=42, help="training seed (default 42)")
+    _config_flags(d, dst.DistillConfig, ("--seed", "seed", "training seed"))
     d.add_argument("--out-encoder", required=True, help="output DENC file (required)")
 
     gp = sub.add_parser("gen-pairs", help="generate planted-teacher pair files")
-    gp.add_argument("--n-train", type=int, default=400,
-                    help="training pair couples (default 400)")
-    gp.add_argument("--n-test", type=int, default=200,
-                    help="held-out pair couples (default 200)")
-    gp.add_argument("--f", type=int, default=12, help="feature length (default 12)")
-    gp.add_argument("--picks", type=int, default=8,
-                    help="candidates per positive pick (default 8)")
-    gp.add_argument("--flip", type=float, default=0.1,
-                    help="label swap fraction (default 0.1)")
-    gp.add_argument("--seed", type=int, default=42, help="generator seed (default 42)")
+    _config_flags(gp, dio.PairSpec,
+                  ("--n-train", "n_train", "training pair couples"),
+                  ("--n-test", "n_test", "held-out pair couples"),
+                  ("--f", "n_features", "feature length"),
+                  ("--picks", "picks", "candidates per positive pick"),
+                  ("--flip", "label_flip", "label swap fraction"),
+                  ("--seed", "seed", "generator seed"))
     gp.add_argument("--out-train", required=True, help="output train PAIR file (required)")
     gp.add_argument("--out-test", required=True, help="output test PAIR file (required)")
 
@@ -135,17 +133,26 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _config_flags(parser, cls, *flags):
+    """Add an option per (flag, field, help) entry that sets that field of
+    the dataclass `cls`; the field's default is the option's default, its
+    type and the default its help prints."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for flag, name, text in flags:
+        parser.add_argument(flag, dest=name, type=type(defaults[name]), default=defaults[name],
+                            help=f"{text} (default %(default)s)")
+
+
+def _config(cls, args, **given):
+    """A `cls` from the parsed flags named like its fields, with `given`
+    fields in place of parsed ones."""
+    parsed = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+              if hasattr(args, f.name)}
+    return cls(**{**parsed, **given})
+
+
 def _cmd_gen(args) -> int:
-    spec = dio.SyntheticSpec(
-        m_train=args.m_train,
-        m_test=args.m_test,
-        n_candidates=args.n,
-        dim=args.d,
-        topics=args.topics,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-    )
-    syn = dio.gen_synthetic(spec)
+    syn = dio.gen_synthetic(_config(dio.SyntheticSpec, args))
     os.makedirs(args.out_dir, exist_ok=True)
     for name in ("train_contexts", "test_contexts", "candidates"):
         dio.write_embeddings(getattr(syn, name), os.path.join(args.out_dir, name + ".emb"))
@@ -171,21 +178,9 @@ def _load_trainset(contexts_path, candidates_path, labels_path) -> scr.Screening
     )
 
 
-def _train_config(args, k, lam) -> scr.TrainConfig:
-    return scr.TrainConfig(
-        k=k,
-        lam=lam,
-        alternations=args.t,
-        learning_rate=args.lr,
-        epochs_per_alternation=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
-
-
 def _cmd_train_screen(args) -> int:
     trainset = _load_trainset(args.contexts, args.candidates, args.labels)
-    cfg = _train_config(args, args.k, args.lam)
+    cfg = _config(scr.TrainConfig, args)
     result = scr.train(trainset, cfg)
     scr.save_model(result.model, args.out_model)
     print(
@@ -236,7 +231,7 @@ def _cmd_grid(args) -> int:
     test_contexts = dio.read_embeddings(args.test_contexts)
     k_list = _parse_list(args.k, int, "--k")
     lam_list = _parse_list(args.lam, float, "--lambda")
-    base = _train_config(args, k_list[0], lam_list[0])
+    base = _config(scr.TrainConfig, args, k=k_list[0], lam=lam_list[0])
     cells = ev.grid_sweep(trainset, test_contexts, k_list, lam_list, base)
     config = {
         "command": "grid",
@@ -246,11 +241,7 @@ def _cmd_grid(args) -> int:
         "labels": args.labels,
         "k_list": ",".join(str(k) for k in k_list),
         "lambda_list": ",".join(f"{v:g}" for v in lam_list),
-        "alternations": args.t,
-        "learning_rate": args.lr,
-        "epochs_per_alternation": args.epochs,
-        "batch_size": args.batch,
-        "seed": args.seed,
+        **{n: v for n, v in dataclasses.asdict(base).items() if n not in ("k", "lam")},
     }
     with open(args.report, "w") as fh:
         fh.write(ev.format_report_csv(cells, config))
@@ -293,14 +284,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_distill(args) -> int:
     pairs = dio.read_pairs(args.pairs)
-    cfg = dst.DistillConfig(
-        beta=args.beta,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        dim=args.dim or None,
-    )
+    cfg = _config(dst.DistillConfig, args, dim=args.dim or None)
     result = dst.train_distilled(pairs, None, cfg)
     dst.save_encoder(result.encoder, args.out_encoder)
     print(
@@ -312,15 +296,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_gen_pairs(args) -> int:
-    spec = dio.PairSpec(
-        n_train=args.n_train,
-        n_test=args.n_test,
-        n_features=args.f,
-        picks=args.picks,
-        label_flip=args.flip,
-        seed=args.seed,
-    )
-    train_pairs, test_pairs, _ = dio.gen_pair_data(spec)
+    train_pairs, test_pairs, _ = dio.gen_pair_data(_config(dio.PairSpec, args))
     dio.write_pairs(train_pairs, args.out_train)
     dio.write_pairs(test_pairs, args.out_test)
     print(

@@ -6,10 +6,10 @@ every search, assignment and label, returns the row with the largest
 exact inner product of the float32 values, the lowest index on an exact
 tie, whatever the product shape or the BLAS thread count: it scores in
 float32 and re-decides exactly every query that rounding could have
-misled. Reported scores (`inner_product`, `inner_products`) accumulate
-in float64. Nothing here normalizes vectors for scoring: raw inner
-products are the scoring currency, and unit-norm vectors only appear
-inside the clustering initializer.
+misled. Reported scores (`inner_product`) and top-k ranking scores
+(`inner_products`) accumulate in float64. Nothing here normalizes
+vectors for scoring: raw inner products are the scoring currency, and
+unit-norm vectors only appear inside the clustering initializer.
 """
 
 import functools
@@ -87,9 +87,9 @@ def inner_product(u, v) -> float:
 
 
 def inner_products(rows, vector) -> np.ndarray:
-    """Float64 inner product of every row with `vector` (`search.top_k`'s
-    scores): one matrix-vector product per tile of rows, so no float64
-    copy of all the rows."""
+    """Float64 inner product of every row with `vector` (`search.top_k`
+    ranks by them): one matrix-vector product per tile of rows, so no
+    float64 copy of all the rows."""
     vector64 = np.asarray(vector, dtype=np.float64)
     out = np.empty(rows.shape[0])
     for start, tile in _tiles(rows):
@@ -97,11 +97,10 @@ def inner_products(rows, vector) -> np.ndarray:
     return out
 
 
-def inner_product_top_k(q, rows, k):
-    """(indices, float64 scores from `inner_products`) of the k rows with
-    the largest exact inner products with the vector q, in decreasing
-    order, the lowest index first on an exact tie. A non-finite entry
-    raises ValueError.
+def inner_product_top_k(q, rows, k) -> np.ndarray:
+    """Indices of the k rows with the largest exact inner products with
+    the vector q, in decreasing order, the lowest index first on an exact
+    tie. A non-finite entry raises ValueError.
 
     Rows are ranked by their float64 scores, each within a bound e of
     exact. Neighbours in that ranking more than 2e apart are in exact
@@ -125,8 +124,7 @@ def inner_product_top_k(q, rows, k):
     edges = np.diff(np.concatenate(([False], near[: end - 1], [False])).astype(np.int8))
     for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
         top[lo : hi + 1] = _exact_order(q, rows, top[lo : hi + 1])
-    top = top[:k]
-    return top, scores[top]
+    return top[:k]
 
 
 def _exact_order(q, rows, idx):
@@ -150,9 +148,10 @@ def inner_product_argmax(queries, rows) -> np.ndarray:
     query row; an exact tie goes to the lowest index. Callers validate the
     2-D shapes; a non-finite entry raises ValueError.
 
-    Scores are computed in the inputs' own dtype (float32 for embeddings)
-    one tile of rows at a time, and trusted only up to `_Rounding`'s
-    bound, which holds in every summation order, so on every BLAS path.
+    Scores are computed in the inputs' own dtype (float32 for embeddings;
+    mixed dtypes are compared as their float32 values) one tile of rows
+    at a time, and trusted only up to `_Rounding`'s bound, which holds in
+    every summation order, so on every BLAS path.
     Each query keeps an interval around its running winner's exact score,
     -inf at first. Float scores decide a tile when its top row's interval
     lies above the tile's runner-up and the running winner, or below the
@@ -163,9 +162,8 @@ def inner_product_argmax(queries, rows) -> np.ndarray:
     and skips a ball for a query when a bound on its rows' exact products
     lies strictly below the query's running winner (`_Balls`).
     """
-    if queries.dtype != rows.dtype:
-        dtype = np.result_type(queries, rows)
-        queries, rows = queries.astype(dtype), rows.astype(dtype)
+    if queries.dtype != rows.dtype:  # compared as the float32 values, as serving casts them
+        queries, rows = queries.astype(np.float32), rows.astype(np.float32)
     rounding = _rounding(rows.dtype, rows.shape[1])
     # the scalar twin stays: through _argmax_batch one query took 3-5x as long
     # (p50 exact_argmax 1.3 -> 4.0 ms, screened_search 36 -> 180 us; N=100k, D=32)
@@ -458,8 +456,11 @@ def _exact_winner(q, rows):
 def _exact_terms(q, rows):
     """Float64 terms whose sum along each row is exactly q . row. A
     float32 x float32 product is exact in float64; a float64 product
-    comes with its rounding error, by Dekker's two-product (exact while no
-    entry exceeds about 1e300)."""
+    comes with its rounding error, by Dekker's two-product, which is exact
+    only while no entry exceeds about 1e300 and every product and error
+    term stays in float64's normal range: below it the error terms
+    underflow. Float64 reaches here from k-means' unit vectors and from
+    the float64 redo of float32 values, where both hold."""
     prod = rows.astype(np.float64) * q.astype(np.float64)
     if rows.dtype == np.float32:
         return prod

@@ -144,6 +144,8 @@ class ScreeningTrainSet:
             raise ValueError("need exactly one label per context")
         if self.labels.min() < 0 or self.labels.max() >= self.candidates.shape[0]:
             raise ValueError("label index out of candidate range")
+        check_finite(self.contexts, "contexts")
+        check_finite(self.candidates, "candidates")
 
 
 @dataclass(frozen=True)

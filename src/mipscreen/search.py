@@ -60,8 +60,9 @@ def argmax_batch(contexts, candidates) -> np.ndarray:
 
 def top_k(c, candidates, k: int) -> list:
     """k best candidates by exact inner product (see
-    `core.inner_product_top_k`), the lowest index first on a tie; scores
-    are the float64 inner products."""
+    `core.inner_product_top_k`), the lowest index first on a tie; each
+    score is `inner_product` of the context and that candidate, as
+    `exact_argmax` reports it."""
     c = as_vector(c)
     candidates = as_matrix(candidates)
     if not 1 <= k <= candidates.shape[0]:
@@ -71,8 +72,8 @@ def top_k(c, candidates, k: int) -> list:
             f"dimension mismatch: context {c.shape[0]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    order, scores = inner_product_top_k(c, candidates, k)
-    return [SearchResult(int(i), float(s)) for i, s in zip(order, scores)]
+    return [SearchResult(int(i), inner_product(c, candidates[i]))
+            for i in inner_product_top_k(c, candidates, k)]
 
 
 def recall_at_1(scorer, instances, contexts, candidates) -> float:

@@ -1,7 +1,11 @@
 """Command-line surface: pipelines, exit codes, and idempotence."""
 
+import dataclasses
 import hashlib
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,14 @@ from mipscreen.cli import run
 from mipscreen.core import inner_product
 from mipscreen.data import (
     PairSpec,
+    SyntheticSpec,
     gen_pair_data,
     read_embeddings,
     write_embeddings,
     write_pairs,
 )
-from mipscreen.distill import DualEncoder, PairSet, load_encoder, save_encoder
-from mipscreen.screening import ScreeningModel, pack_subsets, save_model
+from mipscreen.distill import DistillConfig, DualEncoder, PairSet, load_encoder, save_encoder
+from mipscreen.screening import ScreeningModel, TrainConfig, pack_subsets, save_model
 
 
 def _digest(path):
@@ -343,7 +348,7 @@ class TestCachedParser:
                 "--labels", "l.txt", "--out-model", "m.scrn"]
         assert run(argv + ["--t", "3", "--k", "5", "--lambda", "0.01"]) == 0
         assert run(argv) == 0
-        assert [(a.t, a.k, a.lam) for a in seen] == [(3, 5, 0.01), (10, 10, 1e-6)]
+        assert [(a.alternations, a.k, a.lam) for a in seen] == [(3, 5, 0.01), (10, 10, 1e-6)]
         assert seen[0] is not seen[1]
 
     def test_usage_error_and_help_after_a_good_call(self, monkeypatch, capsys):
@@ -525,3 +530,109 @@ class TestContainerFuzz:
         assert code == 2
         assert err == "mipscreen: error: teacher scores contains non-finite entries\n"
         assert not (tmp_path / "e.denc").exists()
+
+
+_SGD_FLAGS = {"--t": "alternations", "--lr": "learning_rate",
+              "--epochs": "epochs_per_alternation", "--batch": "batch_size", "--seed": "seed"}
+# command: (config class, the function handed the config, flag -> field)
+_CONFIG_FLAGS = {
+    "gen": (SyntheticSpec, "dio.gen_synthetic",
+            {"--m-train": "m_train", "--m-test": "m_test", "--n": "n_candidates",
+             "--d": "dim", "--topics": "topics", "--sigma": "noise_sigma", "--seed": "seed"}),
+    "train-screen": (TrainConfig, "scr.train", {**_SGD_FLAGS, "--k": "k", "--lambda": "lam"}),
+    "grid": (TrainConfig, "ev.grid_sweep", _SGD_FLAGS),
+    "distill": (DistillConfig, "dst.train_distilled",
+                {"--beta": "beta", "--lr": "learning_rate", "--epochs": "epochs",
+                 "--batch": "batch_size", "--seed": "seed"}),
+    "gen-pairs": (PairSpec, "dio.gen_pair_data",
+                  {"--n-train": "n_train", "--n-test": "n_test", "--f": "n_features",
+                   "--picks": "picks", "--flip": "label_flip", "--seed": "seed"}),
+}
+
+
+class TestConfigDefaults:
+    """The config dataclasses hold the default of every flag that sets one
+    of their fields."""
+
+    @pytest.fixture
+    def required(self, corpus, tmp_path):
+        pairs = tmp_path / "train.pair"
+        write_pairs(gen_pair_data(PairSpec(n_train=4, n_test=2, n_features=3))[0], pairs)
+        files = ["--candidates", str(corpus / "candidates.emb"),
+                 "--labels", str(corpus / "labels.txt")]
+        return {
+            "gen": ["--out-dir", str(tmp_path)],
+            "train-screen": ["--contexts", str(corpus / "train_contexts.emb"), *files,
+                             "--out-model", str(tmp_path / "m.scrn")],
+            "grid": ["--train-contexts", str(corpus / "train_contexts.emb"),
+                     "--test-contexts", str(corpus / "test_contexts.emb"), *files,
+                     "--report", str(tmp_path / "grid.csv")],
+            "distill": ["--pairs", str(pairs), "--out-encoder", str(tmp_path / "e.denc")],
+            "gen-pairs": ["--out-train", str(tmp_path / "a.pair"),
+                          "--out-test", str(tmp_path / "b.pair")],
+        }
+
+    def _config(self, monkeypatch, command, argv):
+        """The config `command` hands its library call for these flags."""
+        cls, target, _ = _CONFIG_FLAGS[command]
+        module, name = target.split(".")
+
+        class Stop(Exception):
+            pass
+
+        def capture(*args):
+            seen.extend(a for a in args if isinstance(a, cls))
+            raise Stop
+
+        seen = []
+        monkeypatch.setattr(getattr(cli, module), name, capture)
+        with pytest.raises(Stop):
+            run([command, *argv])
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+    def test_required_flags_give_dataclass_defaults(self, monkeypatch, required, command):
+        cls = _CONFIG_FLAGS[command][0]
+        got = self._config(monkeypatch, command, required[command])
+        if command == "grid":  # the sweep starts at the first listed K and lambda
+            assert (got.k, got.lam) == (10, 1e-5)
+            got = dataclasses.replace(got, k=cls().k, lam=cls().lam)
+        assert got == cls()
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+    def test_each_flag_sets_its_field(self, monkeypatch, required, command):
+        cls, _, flags = _CONFIG_FLAGS[command]
+        doubled = {field: 2 * getattr(cls(), field) for field in flags.values()}
+        argv = [a for flag, field in flags.items() for a in (flag, str(doubled[field]))]
+        got = self._config(monkeypatch, command, required[command] + argv)
+        assert {field: getattr(got, field) for field in flags.values()} == doubled
+
+    @pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+    def test_help_prints_each_default(self, capsys, command):
+        cls, _, flags = _CONFIG_FLAGS[command]
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        entries = {e.split()[0]: e for e in re.split(r" (?=--)", options)}
+        for flag, field in flags.items():
+            assert entries[flag].endswith(f"(default {getattr(cls(), field)})"), entries[flag]
+
+
+def _readme_commands():
+    """The `mipscreen` command lines of README's fenced block under
+    "## Command line", with continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    return [argv for line in block.replace("\\\n", " ").splitlines()
+            if (argv := shlex.split(line, comments=True))]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"mipscreen"}
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)  # every subcommand
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = run(argv[1:])
+        assert code == 0, (argv, capsys.readouterr().err)

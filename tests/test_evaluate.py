@@ -215,14 +215,13 @@ class TestGridSweep:
 
     def test_oracle_error_fails_each_trained_cell(self, small_world):
         trainset, covered_test = small_world
-        candidates = trainset.candidates.copy()
-        candidates[5, 2] = np.nan
-        broken = ScreeningTrainSet(trainset.contexts, candidates, trainset.labels)
+        broken = covered_test.copy()  # a train set refuses non-finite candidates
+        broken[5, 2] = np.nan
         huge_k = trainset.contexts.shape[0] + 1
-        cells = grid_sweep(broken, covered_test, [2, huge_k], [1e-4], TrainConfig(seed=3))
-        model = train(broken, TrainConfig(k=2, lam=1e-4, seed=3)).model
+        cells = grid_sweep(trainset, broken, [2, huge_k], [1e-4], TrainConfig(seed=3))
+        model = train(trainset, TrainConfig(k=2, lam=1e-4, seed=3)).model
         with pytest.raises(ValueError) as want:
-            evaluate_model(model, covered_test, candidates)
+            evaluate_model(model, broken, trainset.candidates)
         assert [cell.error for cell in cells] == [
             str(want.value), f"k={huge_k} exceeds context count {trainset.contexts.shape[0]}"
         ]

@@ -10,6 +10,7 @@ from mipscreen.screening import (
     ScreeningModel,
     ScreeningTrainSet,
     TrainConfig,
+    assign_clusters,
     centroid_gradient,
     compute_alpha,
     load_model,
@@ -582,6 +583,53 @@ class TestPredictAndSearch:
         model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
         got = model.check_candidates(np.ones((5, 3), dtype=np.float64))
         assert got.dtype == np.float32 and got.shape == (5, 3)
+
+
+class TestFloat64Contexts:
+    """A float64 context is assigned as its float32 cast, the values
+    serving searches with."""
+
+    def test_assignment_below_float32_resolution(self):
+        centroids = np.array([[1, 0], [1 + 2**-23, -1]], dtype=np.float32)
+        model = make_model(centroids, np.eye(2), 0.1)
+        c = np.array([1, 2**-23 - 2**-60])  # its float32 cast ties both clusters
+        assert assign_clusters(c[None], model)[0] == 0
+        np.testing.assert_array_equal(predict_subset(c, model), [0])
+
+    def test_same_clusters_as_float32_cast(self):
+        rng = np.random.default_rng(57)
+        centroids = rng.integers(-2, 3, size=(6, 4)).astype(np.float32)
+        candidates = rng.normal(size=(6, 4)).astype(np.float32)
+        model = make_model(centroids, np.eye(6), 0.1)
+        # small-integer casts, which often tie two centroids exactly; the
+        # float64 noise below float32 resolution would break those ties
+        cast = rng.integers(-2, 3, size=(300, 4)).astype(np.float32)
+        contexts = cast * (1 + rng.normal(scale=1e-9, size=cast.shape))
+        np.testing.assert_array_equal(contexts.astype(np.float32), cast)
+        clusters = assign_clusters(cast, model)
+        np.testing.assert_array_equal(assign_clusters(contexts, model), clusters)
+        for c, k in zip(contexts, clusters):
+            np.testing.assert_array_equal(predict_subset(c, model), [k])
+        want = evaluate_model(model, cast, candidates)
+        got = evaluate_model(model, contexts, candidates)
+        assert (got.accuracy, got.mean_subset_size) == (want.accuracy, want.mean_subset_size)
+
+
+class TestTrainSetFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["contexts", "candidates"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        arrays = {"contexts": np.ones((4, 3), dtype=np.float32),
+                  "candidates": np.ones((5, 3), dtype=np.float32)}
+        arrays[name][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            ScreeningTrainSet(arrays["contexts"], arrays["candidates"], np.zeros(4))
+
+    def test_contexts_named_first(self):
+        contexts = np.full((4, 3), np.nan, dtype=np.float32)
+        candidates = np.full((5, 3), np.inf, dtype=np.float32)
+        with pytest.raises(ValueError, match="^contexts contains non-finite entries$"):
+            ScreeningTrainSet(contexts, candidates, np.zeros(4))
 
 
 class TestEmptySubsetFallback:

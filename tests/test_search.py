@@ -111,6 +111,14 @@ class TestTopK:
         assert [r.score for r in results] == [1.0, 1.0]
         assert top_k(q, rows, 1)[0].index == 1
 
+    def test_top_score_is_exact_argmax_score(self):
+        # scores from a tiled matrix-vector product can differ in the last
+        # bit from the per-row dot product exact_argmax reports
+        rng = np.random.default_rng(18)
+        candidates = rng.normal(size=(5000, 32)).astype(np.float32)
+        for c in rng.normal(size=(300, 32)).astype(np.float32):
+            assert top_k(c, candidates, 1)[0] == exact_argmax(c, candidates)
+
     def test_k_out_of_range(self):
         candidates = np.ones((3, 2), dtype=np.float32)
         for k in (0, 4):
