@@ -273,13 +273,21 @@ def _cmd_search(args) -> int:
         indices = scr.screened_search_batch(contexts, _load_model(args.model, candidates), candidates)
     else:
         indices = argmax_batch(contexts, candidates)
-    # inner_product's float64 dot, with each side cast once for all lines
-    rows = candidates.take(indices, axis=0).astype(np.float64)
-    sys.stdout.write("".join(
-        f"{i} {float(np.dot(c, r)):.6f}\n"
-        for i, c, r in zip(indices, contexts.astype(np.float64), rows)
-    ))
+    scores = _scores(contexts, candidates.take(indices, axis=0))
+    sys.stdout.write("".join(f"{i} {s:.6f}\n" for i, s in zip(indices.tolist(), scores.tolist())))
     return 0
+
+
+def _scores(contexts, rows) -> np.ndarray:
+    """inner_product(contexts[j], rows[j]) for every j, bit for bit, from
+    one stacked product: numpy computes each 1 x D @ D x 1 product with the
+    same float64 dot as `np.dot` of two vectors. At D = 1 `np.dot`
+    multiplies the two values, which keeps the sign of a zero product, and
+    the stacked product adds it to +0.0."""
+    contexts, rows = contexts.astype(np.float64), rows.astype(np.float64)
+    if contexts.shape[1] == 1:
+        return (contexts * rows).reshape(-1)
+    return np.matmul(contexts[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def _cmd_distill(args) -> int:

@@ -176,13 +176,14 @@ class _Rounding(NamedTuple):
     """|fl(q.c) - q.c| <= gamma |q| |c| + floor for a length-d inner
     product summed in any order, with gamma = d u / (1 - d u) for unit
     roundoff u (rounded up 1% for the float64 arithmetic of the norms and
-    the bound) and floor = d times the smallest subnormal. Below `limit`
-    no partial sum can overflow."""
+    the bound) and floor = d times the smallest subnormal, `tiny`. Below
+    `limit` no partial sum can overflow."""
 
     dtype: np.dtype
     d: int
     unit: float
     gamma: float
+    tiny: float
     floor: float
     limit: float
 
@@ -202,8 +203,9 @@ def _rounding(dtype, d) -> _Rounding:
     info = np.finfo(dtype)
     unit = float(info.eps) / 2
     gamma = 1.01 * d * unit / (1 - d * unit) if d * unit < 0.5 else math.inf
-    floor = d * float(info.smallest_subnormal)
-    return _Rounding(dtype, d, unit, gamma, floor, gamma * float(info.max) / 2 + floor)
+    tiny = float(info.smallest_subnormal)
+    floor = d * tiny
+    return _Rounding(dtype, d, unit, gamma, tiny, floor, gamma * float(info.max) / 2 + floor)
 
 
 def _verdict(top, runner, e, best, err):
@@ -217,12 +219,14 @@ def _verdict(top, runner, e, best, err):
 
 
 def _argmax_one(q, rows, rounding) -> int:
-    qq = float(np.vdot(q, q))
+    tiny = rounding.tiny
+    qq = float(np.vdot(q, q)) + q.size * tiny
     out, best, err = 0, -math.inf, 0.0  # the running winner; its exact score is best +- err
     for offset, tile in _tiles(rows):
         # Frobenius bound from one pass and no checks, to keep one query
         # cheap: a non-finite entry makes it NaN or inf, caught right below
-        sq = _inflate(qq * float(np.vdot(tile, tile)), q.size + tile.size, rounding.unit)
+        tt = float(np.vdot(tile, tile)) + tile.size * tiny
+        sq = _inflate(qq * tt, q.size + tile.size, rounding.unit)
         e = rounding.bound(math.sqrt(sq), 1.0)
         if not e < rounding.limit:
             check_finite(q, "contexts")
@@ -348,10 +352,11 @@ def _balls(rows, norms, rounding):
     """_Balls around the clusters of `rows`, or None when a fixed sample,
     four rows per allowed pivot, shows no cluster structure (`_pivots`).
     A center is the mean of the sample rows nearest a pivot, rounded to
-    the rows' dtype; each row joins its nearest center, one tile at a
-    time. A radius bounds the norms of the rounded differences from the
-    center, divided by 1 - 2u: one u for the difference, one for the
-    division."""
+    the rows' dtype; each row joins its nearest center (`_nearest`). The
+    rows are gathered once in center order, so each group's rows and norms
+    are slices of that one copy. A radius bounds the norms of the rounded
+    differences from the center, divided by 1 - 2u: one u for the
+    difference, one for the division."""
     n, top = rows.shape[0], float(norms.max())
     if not rounding.bound(top, top) < rounding.limit:  # so no product of rows overflows
         return None
@@ -365,21 +370,18 @@ def _balls(rows, norms, rounding):
     owner = _nearest(centered, centered[pivots])  # each pivot owns at least itself
     sums = (owner == np.arange(len(pivots))[:, None]) @ sample
     centers = (sums / np.bincount(owner)[:, None]).astype(rows.dtype)
-    labels = np.empty(n, dtype=np.int16)  # int16: a radix sort below
-    dist = np.empty(n)
-    for s, tile in _tiles(rows):
-        near = _nearest(tile, centers)
-        labels[s : s + tile.shape[0]] = near
-        dist[s : s + tile.shape[0]] = _row_norms(tile - centers.take(near, axis=0),
-                                                 rounding.unit, "candidates")
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=centers.shape[0]))
+    labels = _nearest(rows, centers)
+    order = np.argsort(labels, kind="stable")  # ascending ids within each center
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    ends = np.cumsum(counts)
+    rows, norms = rows.take(order, axis=0), norms[order]
     groups, center_of, radii = [], [], []
-    for c, members in enumerate(np.split(order, ends[:-1])):
-        for _, ids in _tiles(members) if members.size else ():  # gathered group by group,
-            groups.append((ids, rows.take(ids, axis=0), norms[ids]))  # no copy of all rows
+    for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        for s, block in _tiles(rows[lo:hi]) if hi > lo else ():
+            at = slice(lo + s, lo + s + block.shape[0])
+            groups.append((order[at], block, norms[at]))
             center_of.append(c)
-            radii.append(dist[ids].max())
+            radii.append(_row_norms(block - centers[c], rounding.unit, "candidates").max())
     centers = centers[center_of]
     return _Balls(groups, centers.astype(np.float64), _row_norms(centers, rounding.unit, "centers"),
                   np.array(radii) / (1 - 2 * rounding.unit))
@@ -412,10 +414,30 @@ def _pivots(sample):
 
 
 def _nearest(x, centers):
-    """Index of the nearest center for each row of x, by float scores."""
-    scores = x @ centers.T
-    scores -= 0.5 * np.einsum("ij,ij->i", centers, centers)
-    return scores.argmax(axis=1)
+    """Index of the nearest center for each row of x by float scores
+    c . x - |c|^2 / 2, the lowest index on a tie, as int16 (a radix sort
+    in `_balls`). x is scored one tile at a time in the (centers x rows)
+    layout, so the largest score, the rows that reach it and the first
+    center among them are column reductions: an argmax along rows as
+    short as the center count costs more per row than it scans. The
+    buffers are reused across tiles; they hold at most one score block."""
+    k, width = centers.shape[0], max(t.shape[0] for _, t in _tiles(x))
+    half = (0.5 * np.einsum("ij,ij->i", centers, centers))[:, None]
+    # the first center ranks highest; one byte a rank for up to 256 centers
+    rank = (k - 1 - np.arange(k)).astype(np.min_scalar_type(k - 1))[:, None]
+    scores, hit = np.empty(k * width, dtype=x.dtype), np.empty(k * width, dtype=bool)
+    ranks, top = np.empty(k * width, dtype=rank.dtype), np.empty(width, dtype=x.dtype)
+    out = np.empty(x.shape[0], dtype=np.int16)
+    for s, tile in _tiles(x):
+        t = tile.shape[0]
+        block, hits, ranked = (b[: k * t].reshape(k, t) for b in (scores, hit, ranks))
+        np.matmul(centers, tile.T, out=block)
+        np.subtract(block, half, out=block)
+        np.max(block, axis=0, out=top[:t])
+        np.equal(block, top[:t], out=hits)
+        np.multiply(hits, rank, out=ranked)
+        out[s : s + t] = k - 1 - ranked.max(axis=0)
+    return out
 
 
 def _settle(q, rows, ids, scores, e, cur):
@@ -478,19 +500,24 @@ def _halves(x):
 
 
 def _inflate(sq, n, unit):
-    """Upper bound on a sum of n squares whose float sum is `sq`."""
+    """Upper bound on a sum of n squares, or on a product of two such sums
+    of n squares in all, from `sq`: their float sums, each plus its count
+    times the smallest subnormal. Each square or sum is within a unit of
+    exact, or within the smallest subnormal where it underflows (squares
+    of float32 entries below 2**-75 are 0)."""
     return sq / (1 - 2 * n * unit) if 2 * n * unit < 1 else math.inf
 
 
 def _norm_bound(x, unit, name) -> float:
     """Upper bound on the Euclidean norm of all of x's entries, from one
     dot product; it doubles as the check that x is finite."""
+    tiny = _rounding(x.dtype, 1).tiny
     sq = float(np.vdot(x, x))
     if not math.isfinite(sq):
         check_finite(x, name)  # finite entries whose squares overflowed
         x = x.astype(np.float64)
         sq = float(np.vdot(x, x))
-    return math.sqrt(_inflate(sq, x.size, unit))
+    return math.sqrt(_inflate(sq + x.size * tiny, x.size, unit))
 
 
 def _row_norms(m, unit, name) -> np.ndarray:
@@ -500,7 +527,8 @@ def _row_norms(m, unit, name) -> np.ndarray:
     if not np.isfinite(sq).all():
         check_finite(m, name)  # finite rows whose squares overflowed
         sq = np.einsum("ij,ij->i", m, m, dtype=np.float64)
-    return np.sqrt(_inflate(sq.astype(np.float64), m.shape[1], unit))
+    tiny = _rounding(m.dtype, 1).tiny
+    return np.sqrt(_inflate(sq.astype(np.float64) + m.shape[1] * tiny, m.shape[1], unit))
 
 
 def _tiles(rows):

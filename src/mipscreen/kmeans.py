@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_vector, check_finite, inner_product_argmax, normalize_rows
-from .search import argmax_batch
+from .core import as_matrix, check_finite, inner_product_argmax, normalize_rows
 
 _MAX_ITERS = 50
 _TOL = 1e-4  # mean centroid movement that counts as converged
@@ -34,16 +33,6 @@ class KMeansTrace:
     centroids: np.ndarray  # (K, D) float32, unit rows
     labels: np.ndarray  # (M,) final assignment
     objective: list  # summed cosine to assigned centroid, per iteration
-
-
-def hard_assign(point, centroids) -> int:
-    """Cluster of maximum inner product; ties go to the lowest index."""
-    return int(argmax_batch(as_vector(point)[None], centroids)[0])
-
-
-def assign_all(points, centroids) -> np.ndarray:
-    """hard_assign for every row of `points`."""
-    return argmax_batch(points, centroids)
 
 
 def _plusplus_init(points_n: np.ndarray, k: int, rng) -> np.ndarray:

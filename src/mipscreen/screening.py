@@ -183,13 +183,9 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def soft_assign(c, centroids) -> np.ndarray:
-    """Cluster membership probabilities: softmax over centroid dots."""
-    return soft_assign_batch(as_vector(c)[None], centroids)[0]
-
-
 def soft_assign_batch(contexts, centroids) -> np.ndarray:
-    """(M, K) soft assignments for every context row."""
+    """(M, K) cluster membership probabilities, a softmax over centroid
+    dots, for every context row."""
     contexts = as_matrix(contexts)
     centroids = as_matrix(centroids)
     z = contexts.astype(np.float64) @ centroids.astype(np.float64).T

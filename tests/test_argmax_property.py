@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from mipscreen import core
 from mipscreen.evaluate import evaluate_model
-from mipscreen.kmeans import assign_all, hard_assign
 from mipscreen.screening import ScreeningModel, assign_clusters, pack_subsets, predict_subset
 from mipscreen.search import argmax_batch, exact_argmax, top_k
 from oracles import exact_top_k, naive_argmax, naive_matvec
@@ -45,9 +44,8 @@ def test_exact_search_and_kmeans_assignment_match_oracle(problem):
     queries, rows = problem
     want = [naive_argmax(q, rows)[0] for q in queries]
     assert [exact_argmax(q, rows).index for q in queries] == want
-    assert [hard_assign(q, rows) for q in queries] == want
+    assert [int(argmax_batch(q[None], rows)[0]) for q in queries] == want
     np.testing.assert_array_equal(argmax_batch(queries, rows), np.array(want, dtype=np.int64))
-    np.testing.assert_array_equal(assign_all(queries, rows), np.array(want, dtype=np.int64))
 
 
 @settings(max_examples=200, deadline=None)

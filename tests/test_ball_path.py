@@ -10,6 +10,7 @@ most 4 pivots.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ def clustered(rng, n, dim, k):
 
 def want(queries, rows):
     return [oracle(q, rows)[0] for q in queries]
+
+
+def assert_rows_in_their_balls(balls, rows):
+    """The groups partition the rows, each group's ids ascend and its block
+    holds those rows, and every row c lies inside its ball: |c - center| <=
+    radius, in rational arithmetic."""
+    ids = np.concatenate([g[0] for g in balls.groups])
+    np.testing.assert_array_equal(np.sort(ids), np.arange(rows.shape[0]))
+    for (ids, block, _), center, radius in zip(balls.groups, balls.centers, balls.radii):
+        assert (np.diff(ids) > 0).all()
+        np.testing.assert_array_equal(block, rows[ids])
+        center = [Fraction(float(x)) for x in center]
+        for row in block.tolist():
+            assert sum((Fraction(x) - y) ** 2 for x, y in zip(row, center)) <= Fraction(radius) ** 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,3 +206,46 @@ def test_rows_whose_products_overflow_float32_take_the_scan(small):
     queries = rng.integers(-2, 3, size=(16, 3)).astype(np.float32) * np.float32(2.0**-60)
     np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
     assert small == [None]
+
+
+def equidistant(rng):
+    """Copies of (0, 8) and (8, 0), and copies of their midpoint (4, 4) at
+    rows the 16-row sample of 128 does not take, so the two sample means
+    are those points and the midpoint ties between them."""
+    rows = np.tile(np.array([[0, 8], [8, 0]], dtype=np.float32), (64, 1))
+    rows[[2, 3, 40, 41, 100]] = (4, 4)
+    return rows, rng.integers(-2, 3, size=(16, 2)).astype(np.float32)
+
+
+def duplicates(rng):
+    rows = clustered(rng, 144, 2, 3)
+    rows[[10, 50, 90, 130]] = rows[7]
+    return rows, rng.integers(-2, 3, size=(16, 3)).astype(np.float32)
+
+
+def widened(rng):  # scores near 2**200: the balls are built from the float64 rows
+    rows = clustered(rng, 128, 2, 2) * np.float32(2.0**100)
+    return rows, rng.integers(-2, 3, size=(16, 3)).astype(np.float32) * np.float32(2.0**100)
+
+
+def tiny(rng):  # squares below float32's subnormals: norms and radii from the floor
+    rows = clustered(rng, 128, 2, 3) * np.float32(2.0**-100)
+    return rows, rng.integers(-2, 3, size=(16, 3)).astype(np.float32)
+
+
+@pytest.mark.parametrize("case", [equidistant, duplicates, widened, tiny])
+def test_every_row_lies_inside_its_ball(small, case):
+    rows, queries = case(np.random.default_rng(14))
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
+    (balls,) = small
+    assert balls is not None
+    assert_rows_in_their_balls(balls, rows)
+    if case is equidistant:
+        assert {tuple(c) for c in balls.centers.tolist()} == {(0.0, 8.0), (8.0, 0.0)}
+
+
+def test_a_row_equidistant_from_two_centers_joins_the_first():
+    centers = np.array([[0, 8], [8, 0]], dtype=np.float32)
+    x = np.array([[4, 4], [3, 5], [5, 3]], dtype=np.float32)
+    np.testing.assert_array_equal(core._nearest(x, centers), [0, 0, 1])
+    np.testing.assert_array_equal(core._nearest(x, centers[::-1]), [0, 1, 0])

@@ -10,19 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mipscreen import cli
+from mipscreen import cli, core
 from mipscreen.cli import run
 from mipscreen.core import inner_product
 from mipscreen.data import (
     PairSpec,
     SyntheticSpec,
     gen_pair_data,
+    gen_synthetic,
     read_embeddings,
     write_embeddings,
     write_pairs,
 )
 from mipscreen.distill import DistillConfig, DualEncoder, PairSet, load_encoder, save_encoder
 from mipscreen.screening import ScreeningModel, TrainConfig, pack_subsets, save_model
+from mipscreen.search import exact_argmax
 
 
 def _digest(path):
@@ -170,6 +172,37 @@ class TestPipeline:
             for c, line in zip(contexts, lines):
                 i = int(line.split()[0])
                 assert line == f"{i} {inner_product(c, candidates[i]):.6f}"
+
+    @pytest.mark.parametrize("dim", [1, 7, 32, 33])
+    def test_search_scores_are_inner_products_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        contexts = rng.normal(size=(2000, dim)).astype(np.float32)
+        rows = (rng.normal(size=(2000, dim)) * rng.lognormal(size=(2000, 1))).astype(np.float32)
+        contexts[11] = 0
+        want = np.array([inner_product(c, r) for c, r in zip(contexts, rows)])
+        assert cli._scores(contexts, rows).tobytes() == want.tobytes()
+
+    def test_search_exact_on_the_ball_path_prints_inner_products(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 8-row tiles and 4-query blocks, as in test_ball_path.py: 64 queries
+        # over 400 clustered rows take the ball path
+        monkeypatch.setattr(core, "_TILE_ROWS", 8)
+        monkeypatch.setattr(core, "_BLOCK_ROWS", 4)
+        built = []
+        build = core._balls
+        monkeypatch.setattr(core, "_balls", lambda *a: built.append(build(*a)) or built[-1])
+        syn = gen_synthetic(SyntheticSpec(m_train=8, m_test=64, n_candidates=400, dim=6,
+                                          topics=3, noise_sigma=0.1, seed=16))
+        write_embeddings(syn.test_contexts, tmp_path / "c.emb")
+        write_embeddings(syn.candidates, tmp_path / "r.emb")
+        assert run(["search", "--exact", "--context-file", str(tmp_path / "c.emb"),
+                    "--candidates", str(tmp_path / "r.emb")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(built) == 1 and built[0] is not None
+        monkeypatch.undo()
+        for c, line in zip(syn.test_contexts, lines, strict=True):
+            i = exact_argmax(c, syn.candidates).index
+            assert line == f"{i} {inner_product(c, syn.candidates[i]):.6f}"
 
     def test_bench_runs(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "m.scrn"

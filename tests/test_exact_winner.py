@@ -273,6 +273,18 @@ def test_finite_rows_whose_squares_overflow_float32_are_searched(scale):
     np.testing.assert_array_equal(argmax_batch(queries, rows), want)
 
 
+@pytest.mark.parametrize("scale", [2.0**-100, 2.0**-130])
+def test_rows_whose_squares_underflow_float32_are_searched(scale):
+    # the float32 sums of squares are 0, so the norm bounds rest on the
+    # subnormal floor; rows along one direction make near-tied scores
+    rng = np.random.default_rng(15)
+    rows = ((rng.normal(size=8) + 1e-6 * rng.normal(size=(64, 8))) * scale).astype(np.float32)
+    queries = rng.normal(size=(40, 8)).astype(np.float32)
+    want = [oracle(q, rows)[0] for q in queries]
+    assert [exact_argmax(q, rows).index for q in queries] == want
+    np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+
+
 def _search(capsys, *args):
     assert run(["search", *args]) == 0
     return capsys.readouterr().out

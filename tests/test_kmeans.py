@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from mipscreen.core import l2_normalize
-from mipscreen.kmeans import (
-    KMeansConfig,
-    assign_all,
-    fit_spherical_kmeans,
-    hard_assign,
-    spherical_kmeans,
-)
+from mipscreen.kmeans import KMeansConfig, fit_spherical_kmeans, spherical_kmeans
+from mipscreen.search import argmax_batch
 
 
 def _angle_deg(u, v):
@@ -81,7 +76,7 @@ class TestSphericalKMeans:
             k = int(rng.integers(2, min(n, 9)))
             points = rng.normal(size=(n, 3)).astype(np.float32)
             centroids = spherical_kmeans(points, KMeansConfig(k=k, seed=trial))
-            counts = np.bincount(assign_all(points, centroids), minlength=k)
+            counts = np.bincount(argmax_batch(points, centroids), minlength=k)
             assert counts.min() >= 1
 
     def test_k_larger_than_point_count_rejected(self):
@@ -100,16 +95,16 @@ class TestHardAssign:
         centroids = rng.normal(size=(5, 4))
         centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
         centroids = centroids.astype(np.float32)
-        assert hard_assign(centroids[3], centroids) == 3
+        assert argmax_batch(centroids[3:4], centroids)[0] == 3
 
     def test_tie_to_lowest(self):
         centroids = np.eye(2, dtype=np.float32)
-        assert hard_assign([1.0, 1.0], centroids) == 0
+        assert argmax_batch([[1.0, 1.0]], centroids)[0] == 0
 
     def test_hand_case(self):
         centroids = np.eye(2, dtype=np.float32)
-        assert hard_assign([0.9, 0.1], centroids) == 0
+        assert argmax_batch([[0.9, 0.1]], centroids)[0] == 0
 
     def test_empty_centroids_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            hard_assign([1.0], np.zeros((0, 1), dtype=np.float32))
+            argmax_batch([[1.0]], np.zeros((0, 1), dtype=np.float32))

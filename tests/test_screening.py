@@ -20,7 +20,6 @@ from mipscreen.screening import (
     retrieve_prob,
     save_model,
     screened_search,
-    soft_assign,
     soft_assign_batch,
     total_loss,
     train,
@@ -66,16 +65,16 @@ def random_instance(rng, m=None, n=None, k=None, d=None):
 class TestSoftAssign:
     def test_identical_centroids_uniform(self):
         centroids = np.tile([1.0, 2.0], (4, 1)).astype(np.float32)
-        np.testing.assert_allclose(soft_assign([0.3, -0.7], centroids), 0.25)
+        np.testing.assert_allclose(soft_assign_batch([[0.3, -0.7]], centroids)[0], 0.25)
 
     def test_zero_context_uniform(self):
         rng = np.random.default_rng(30)
         centroids = rng.normal(size=(5, 3)).astype(np.float32)
-        np.testing.assert_allclose(soft_assign(np.zeros(3), centroids), 0.2)
+        np.testing.assert_allclose(soft_assign_batch(np.zeros((1, 3)), centroids)[0], 0.2)
 
     def test_hand_softmax(self):
         centroids = np.eye(2, dtype=np.float32)
-        mu = soft_assign([1.0, 0.0], centroids)
+        mu = soft_assign_batch([[1.0, 0.0]], centroids)[0]
         e = np.e
         np.testing.assert_allclose(mu, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
