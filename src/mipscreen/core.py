@@ -6,10 +6,12 @@ every search, assignment and label, returns the row with the largest
 exact inner product of the float32 values, the lowest index on an exact
 tie, whatever the product shape or the BLAS thread count: it scores in
 float32 and re-decides exactly every query that rounding could have
-misled. Reported scores (`inner_product`) and top-k ranking scores
-(`inner_products`) accumulate in float64. Nothing here normalizes
-vectors for scoring: raw inner products are the scoring currency, and
-unit-norm vectors only appear inside the clustering initializer.
+misled. `inner_product_top_k` ranks by float64 scores and re-sorts the
+near-tied rows exactly; one exact sorter (`_exact_order`) serves both.
+Reported scores (`inner_product`) accumulate in float64. Nothing here
+normalizes vectors for scoring: raw inner products are the scoring
+currency, and unit-norm vectors only appear inside the clustering
+initializer.
 """
 
 import functools
@@ -60,8 +62,9 @@ def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
 
     A C-contiguous float32 or float64 array is cleared by one dot product:
     its sum of squares is finite only if every entry is, in any summation
-    order (as in `_norm_bound`). When the sum is not finite, a non-finite
-    entry or finite entries whose squares overflowed, the entries decide.
+    order (as in `_argmax_one`'s Frobenius bound). When the sum is not
+    finite, a non-finite entry or finite entries whose squares overflowed,
+    the entries decide.
     """
     if (
         isinstance(arr, np.ndarray)
@@ -86,61 +89,36 @@ def inner_product(u, v) -> float:
     return float(np.dot(u.astype(np.float64), v.astype(np.float64)))
 
 
-def inner_products(rows, vector) -> np.ndarray:
-    """Float64 inner product of every row with `vector` (`search.top_k`
-    ranks by them): one matrix-vector product per tile of rows, so no
-    float64 copy of all the rows."""
-    vector64 = np.asarray(vector, dtype=np.float64)
-    out = np.empty(rows.shape[0])
-    for start, tile in _tiles(rows):
-        np.matmul(tile.astype(np.float64), vector64, out=out[start : start + tile.shape[0]])
-    return out
-
-
 def inner_product_top_k(q, rows, k) -> np.ndarray:
     """Indices of the k rows with the largest exact inner products with
     the vector q, in decreasing order, the lowest index first on an exact
     tie. A non-finite entry raises ValueError.
 
-    Rows are ranked by their float64 scores, each within a bound e of
-    exact. Neighbours in that ranking more than 2e apart are in exact
-    order; each run of closer neighbours is re-sorted exactly, and a run
-    that crosses the k-th row is first followed to its end.
+    Rows are ranked by their float64 scores, one matrix-vector product per
+    tile, each within a bound e of exact. Neighbours in that ranking more
+    than 2e apart are in exact order; each run of closer neighbours is
+    re-sorted exactly, and a run that crosses the k-th row is first
+    followed to its end.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # reported below
-        scores = inner_products(rows, q)
-    if not np.isfinite(scores).all():  # float32 inputs cannot overflow float64
-        check_finite(q, "contexts")
-        check_finite(rows, "candidates")
-    order = np.argsort(-scores, kind="stable")
     unit = _rounding(rows.dtype, q.size).unit
-    e = _rounding(np.dtype(np.float64), q.size).bound(
-        _norm_bound(q, unit, "contexts"), float(_row_norms(rows, unit, "candidates").max())
-    )
+    qnorm = float(_row_norms(q[None], unit, "contexts")[0])  # also the finiteness checks
+    cnorm = float(_row_norms(rows, unit, "candidates").max())
+    if not q.any():  # every row ties exactly at 0
+        return np.arange(k)
+    q64, scores = q.astype(np.float64), np.empty(rows.shape[0])
+    for start, tile in _tiles(rows):
+        np.matmul(tile.astype(np.float64), q64, out=scores[start : start + tile.shape[0]])
+    order = np.argsort(-scores, kind="stable")
+    e = _rounding(np.dtype(np.float64), q.size).bound(qnorm, cnorm)
     near = -np.diff(scores[order]) <= 2 * e  # near[j]: rows j and j + 1 may swap
     stops = np.flatnonzero(~near[k - 1 :])
     end = k + int(stops[0]) if stops.size else order.size
     top = order[:end]
     edges = np.diff(np.concatenate(([False], near[: end - 1], [False])).astype(np.int8))
     for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-        top[lo : hi + 1] = _exact_order(q, rows, top[lo : hi + 1])
+        run = np.sort(top[lo : hi + 1])  # ascending, so a tie goes to the lowest index
+        top[lo : hi + 1] = run[_exact_order(q, rows[run])[0]]
     return top[:k]
-
-
-def _exact_order(q, rows, idx):
-    """idx sorted by the exact inner product of its rows with q, largest
-    first, the lowest index first on a tie; pairs are compared as in
-    `_exact_winner`."""
-    if not q.any():  # every row ties exactly at 0
-        return np.sort(idx)
-    terms = _exact_terms(q, rows[idx])
-    plus, minus, ids = terms.tolist(), (-terms).tolist(), idx.tolist()
-
-    def compare(a, b):
-        gap = math.fsum(plus[a] + minus[b])
-        return -1 if gap > 0 else 1 if gap < 0 else ids[a] - ids[b]
-
-    return idx[sorted(range(len(ids)), key=functools.cmp_to_key(compare))]
 
 
 def inner_product_argmax(queries, rows) -> np.ndarray:
@@ -240,7 +218,7 @@ def _argmax_one(q, rows, rounding) -> int:
         runner = float(scores[scores.argmax()])  # cheaper than max() on a short row
         won, decided = _verdict(top, runner, e, best, err)
         if not decided:  # the row norms give a tighter bound, and cost less than _settle
-            qnorm = _norm_bound(q, rounding.unit, "contexts")
+            qnorm = math.sqrt(_inflate(qq, q.size, rounding.unit))  # qq is finite here
             e_rows = rounding.bound(qnorm, _row_norms(tile, rounding.unit, "candidates"))
             e = float(e_rows.max())
             won, decided = _verdict(top, runner, e, best, err)
@@ -454,25 +432,30 @@ def _settle(q, rows, ids, scores, e, cur):
     band = ids[np.flatnonzero(scores + e >= low)]
     if cur[1] + cur[2] >= low:
         band = np.sort(np.append(band, cur[0]))
-    win, exact = _exact_winner(q, rows[band])
-    return int(band[win]), exact, math.ulp(exact)
+    order, exact = _exact_order(q, rows[band])
+    return int(band[order[0]]), exact, math.ulp(exact)
 
 
-def _exact_winner(q, rows):
-    """Position of the row with the largest exact inner product with q,
-    the first on a tie, and that product rounded to float64. Rows with the
-    same terms tie, so only the first of each is compared. `math.fsum`
-    rounds correctly, so the sign of a difference of two rows' terms is
-    exact."""
+def _exact_order(q, rows):
+    """Positions of `rows` in the exact order of their inner products with
+    q, largest first, the lowest position first on a tie, and the largest
+    product rounded to float64. Rows with the same terms tie, so only
+    rows of different groups are summed, and only each group's first row
+    becomes a list. `math.fsum` rounds correctly, so the sign of a
+    difference of two rows' terms is exact."""
     terms = _exact_terms(q, rows) + 0.0  # -0.0 to 0.0, so equal terms have equal bytes
     key = terms.view(np.dtype((np.void, terms.shape[1] * terms.itemsize))).ravel()
-    first = np.sort(np.unique(key, return_index=True)[1])
-    terms = terms[first].tolist()
-    win, minus = 0, [-t for t in terms[0]]
-    for k in range(1, len(terms)):
-        if math.fsum(terms[k] + minus) > 0:
-            win, minus = k, [-t for t in terms[k]]
-    return int(first[win]), math.fsum(terms[win])
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    lead = terms[first]  # the first row of each group
+    plus, minus, group = lead.tolist(), (-lead).tolist(), group.tolist()
+
+    def compare(a, b):
+        g, h = group[a], group[b]
+        gap = 0 if g == h else math.fsum(plus[g] + minus[h])
+        return -1 if gap > 0 else 1 if gap < 0 else a - b
+
+    order = sorted(range(len(group)), key=functools.cmp_to_key(compare))
+    return order, math.fsum(plus[group[order[0]]])
 
 
 def _exact_terms(q, rows):
@@ -508,18 +491,6 @@ def _inflate(sq, n, unit):
     return sq / (1 - 2 * n * unit) if 2 * n * unit < 1 else math.inf
 
 
-def _norm_bound(x, unit, name) -> float:
-    """Upper bound on the Euclidean norm of all of x's entries, from one
-    dot product; it doubles as the check that x is finite."""
-    tiny = _rounding(x.dtype, 1).tiny
-    sq = float(np.vdot(x, x))
-    if not math.isfinite(sq):
-        check_finite(x, name)  # finite entries whose squares overflowed
-        x = x.astype(np.float64)
-        sq = float(np.vdot(x, x))
-    return math.sqrt(_inflate(sq + x.size * tiny, x.size, unit))
-
-
 def _row_norms(m, unit, name) -> np.ndarray:
     """Float64 upper bounds on the row norms of m; a non-finite entry
     raises."""
@@ -533,9 +504,7 @@ def _row_norms(m, unit, name) -> np.ndarray:
 
 def _tiles(rows):
     """(first row index, rows) of each tile, in order. A tile is
-    _TILE_ROWS rows, except that the last one also takes the remainder:
-    OpenBLAS scored a short float64 tile on another path, seen to round
-    differently from the untiled product (`inner_products`)."""
+    _TILE_ROWS rows, except that the last one also takes the remainder."""
     n = rows.shape[0]
     if n < 2 * _TILE_ROWS:
         # one tile, returned as is: a screened query searches two short row

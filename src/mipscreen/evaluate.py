@@ -105,7 +105,7 @@ def grid_sweep(
     held-out contexts, which are checked before any training. A cell that
     fails to train is marked and skipped; the sweep continues. The
     contexts' exact winners do not depend on the cell, so they are found
-    once per sweep."""
+    once per sweep, by the first cell that trains."""
     if not len(k_list) or not len(lam_list):
         raise ValueError("k_list and lam_list must be non-empty")
     test_contexts = _contexts(test_contexts)
@@ -114,19 +114,15 @@ def grid_sweep(
             f"dimension mismatch: test contexts {test_contexts.shape[1]} vs "
             f"train set {trainset.contexts.shape[1]}"
         )
-    try:
-        oracle = argmax_batch(test_contexts, trainset.candidates)
-    except (ValueError, FloatingPointError) as exc:
-        oracle = exc  # fails each cell where evaluate_model would have
-    cells = []
+    oracle, cells = None, []
     for k in sorted(set(int(v) for v in k_list)):
         for lam in sorted(set(float(v) for v in lam_list)):
             cfg = replace(base_cfg, k=k, lam=lam)
             try:
                 model = train(trainset, cfg).model
                 clusters = assign_clusters(test_contexts, model)
-                if isinstance(oracle, Exception):
-                    raise oracle
+                if oracle is None:
+                    oracle = argmax_batch(test_contexts, trainset.candidates)
                 report = _report(model, clusters, oracle)
                 cells.append(
                     GridCell(

@@ -33,7 +33,7 @@ from mipscreen.screening import (
     screened_search_batch,
 )
 from mipscreen.search import argmax_batch, exact_argmax, top_k
-from oracles import exact_argmax as oracle
+from oracles import exact_argmax as oracle, exact_top_k
 
 TINY = 2.0**-30
 
@@ -137,6 +137,11 @@ def test_wide_exact_ties_are_settled_without_a_comparison_per_row():
         np.testing.assert_array_equal(argmax_batch(np.stack([q, zero, q]), rows),
                                       [copies[0], 0, copies[0]])
         assert fsum.call_count == 2 * 3  # one per tile and query
+        # top_k re-sorts the 600 copies, one near run, without comparing them
+        fsum.reset_mock()
+        for c in (q, zero):
+            assert [r.index for r in top_k(c, rows, 10)] == exact_top_k(c, rows, 10)
+        assert fsum.call_count <= 1
     assert oracle(q, rows)[0] == copies[0]
 
 
@@ -248,8 +253,8 @@ def test_float32_search_near_the_overflow_bound(monkeypatch):
     unit = rounding.unit
     row_bound = rounding.bound(core._row_norms(queries, unit, "q").max(),
                                core._row_norms(rows, unit, "c").max())
-    frobenius = rounding.bound(core._norm_bound(queries[:8], unit, "q"),
-                               core._norm_bound(rows[:128], unit, "c"))
+    frobenius = rounding.bound(core._row_norms(queries[:8].reshape(1, -1), unit, "q")[0],
+                               core._row_norms(rows[:128].reshape(1, -1), unit, "c")[0])
     assert row_bound < rounding.limit < frobenius
     want = [oracle(q, rows)[0] for q in queries]
     with mock.patch.object(core._Rounding, "wider", autospec=True,
@@ -271,6 +276,9 @@ def test_finite_rows_whose_squares_overflow_float32_are_searched(scale):
     want = [oracle(q, rows)[0] for q in queries]
     assert [exact_argmax(q, rows).index for q in queries] == want
     np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+    n = rows.shape[0]
+    for q in queries:
+        assert [r.index for r in top_k(q, rows, n)] == exact_top_k(q, rows, n)
 
 
 @pytest.mark.parametrize("scale", [2.0**-100, 2.0**-130])
@@ -283,6 +291,9 @@ def test_rows_whose_squares_underflow_float32_are_searched(scale):
     want = [oracle(q, rows)[0] for q in queries]
     assert [exact_argmax(q, rows).index for q in queries] == want
     np.testing.assert_array_equal(argmax_batch(queries, rows), want)
+    n = rows.shape[0]
+    for q in queries:
+        assert [r.index for r in top_k(q, rows, n)] == exact_top_k(q, rows, n)
 
 
 def _search(capsys, *args):
