@@ -12,13 +12,11 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import data as dio
 from . import distill as dst
 from . import evaluate as ev
 from . import screening as scr
-from .search import argmax_batch
+from .search import _scores, argmax_batch
 
 
 class _UsageError(Exception):
@@ -276,18 +274,6 @@ def _cmd_search(args) -> int:
     scores = _scores(contexts, candidates.take(indices, axis=0))
     sys.stdout.write("".join(f"{i} {s:.6f}\n" for i, s in zip(indices.tolist(), scores.tolist())))
     return 0
-
-
-def _scores(contexts, rows) -> np.ndarray:
-    """inner_product(contexts[j], rows[j]) for every j, bit for bit, from
-    one stacked product: numpy computes each 1 x D @ D x 1 product with the
-    same float64 dot as `np.dot` of two vectors. At D = 1 `np.dot`
-    multiplies the two values, which keeps the sign of a zero product, and
-    the stacked product adds it to +0.0."""
-    contexts, rows = contexts.astype(np.float64), rows.astype(np.float64)
-    if contexts.shape[1] == 1:
-        return (contexts * rows).reshape(-1)
-    return np.matmul(contexts[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def _cmd_distill(args) -> int:

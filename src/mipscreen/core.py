@@ -6,8 +6,8 @@ every search, assignment and label, returns the row with the largest
 exact inner product of the float32 values, the lowest index on an exact
 tie, whatever the product shape or the BLAS thread count: it scores in
 float32 and re-decides exactly every query that rounding could have
-misled. `inner_product_top_k` ranks by float64 scores and re-sorts the
-near-tied rows exactly; one exact sorter (`_exact_order`) serves both.
+misled. `inner_product_top_k` exactly sorts the rows whose float64 scores
+could reach the k-th; one bounded exact sorter (`_exact_order`) serves both.
 Reported scores (`inner_product`) accumulate in float64. Nothing here
 normalizes vectors for scoring: raw inner products are the scoring
 currency, and unit-norm vectors only appear inside the clustering
@@ -94,31 +94,24 @@ def inner_product_top_k(q, rows, k) -> np.ndarray:
     the vector q, in decreasing order, the lowest index first on an exact
     tie. A non-finite entry raises ValueError.
 
-    Rows are ranked by their float64 scores, one matrix-vector product per
-    tile, each within a bound e of exact. Neighbours in that ranking more
-    than 2e apart are in exact order; each run of closer neighbours is
-    re-sorted exactly, and a run that crosses the k-th row is first
-    followed to its end.
+    Rows are scored in float64, one matrix-vector product per tile, each
+    score within a bound e of exact. At least k rows have exact products
+    at or above the k-th largest lower bound, so every row of the exact
+    top k has an upper bound that reaches it; that band alone is sorted
+    exactly (`_exact_order`).
     """
     unit = _rounding(rows.dtype, q.size).unit
     qnorm = float(_row_norms(q[None], unit, "contexts")[0])  # also the finiteness checks
     cnorm = float(_row_norms(rows, unit, "candidates").max())
     if not q.any():  # every row ties exactly at 0
         return np.arange(k)
-    q64, scores = q.astype(np.float64), np.empty(rows.shape[0])
+    n, q64, scores = rows.shape[0], q.astype(np.float64), np.empty(rows.shape[0])
     for start, tile in _tiles(rows):
         np.matmul(tile.astype(np.float64), q64, out=scores[start : start + tile.shape[0]])
-    order = np.argsort(-scores, kind="stable")
     e = _rounding(np.dtype(np.float64), q.size).bound(qnorm, cnorm)
-    near = -np.diff(scores[order]) <= 2 * e  # near[j]: rows j and j + 1 may swap
-    stops = np.flatnonzero(~near[k - 1 :])
-    end = k + int(stops[0]) if stops.size else order.size
-    top = order[:end]
-    edges = np.diff(np.concatenate(([False], near[: end - 1], [False])).astype(np.int8))
-    for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-        run = np.sort(top[lo : hi + 1])  # ascending, so a tie goes to the lowest index
-        top[lo : hi + 1] = run[_exact_order(q, rows[run])[0]]
-    return top[:k]
+    lo, hi = scores - e, scores + e
+    band = np.flatnonzero(hi >= np.partition(lo, n - k)[n - k])  # ascending indices
+    return band[_exact_order(q, rows[band], lo[band], hi[band])[0][:k]]
 
 
 def inner_product_argmax(queries, rows) -> np.ndarray:
@@ -421,41 +414,46 @@ def _nearest(x, centers):
 def _settle(q, rows, ids, scores, e, cur):
     """(index, best, err) of the exact winner among the running winner
     `cur` = (index, best, err), best -inf before the first group, and the
-    rows numbered by the ascending `ids`, whose float `scores` are each
-    within their `e` of exact: only rows that could reach the highest
-    lower bound are compared exactly, in index order, so the lowest index
-    wins an exact tie."""
+    rows numbered by `ids`, whose float `scores` are each within their `e`
+    of exact. The band of rows whose upper bound reaches the highest lower
+    bound goes to `_exact_order` in index order, so the lowest index wins
+    an exact tie."""
     if not q.any():  # every row ties exactly at 0: row 0 wins
         return 0, 0.0, 0.0
     scores = scores.astype(np.float64, copy=False)  # so scores - e is not rounded to float32
-    low = max((scores - e).max(), cur[1] - cur[2])
-    band = ids[np.flatnonzero(scores + e >= low)]
-    if cur[1] + cur[2] >= low:
-        band = np.sort(np.append(band, cur[0]))
-    order, exact = _exact_order(q, rows[band])
-    return int(band[order[0]]), exact, math.ulp(exact)
+    ids = np.append(ids, cur[0])
+    lo, hi = np.append(scores - e, cur[1] - cur[2]), np.append(scores + e, cur[1] + cur[2])
+    keep = np.flatnonzero(hi >= lo.max())
+    keep = keep[np.argsort(ids[keep])]
+    order, exact = _exact_order(q, rows[ids[keep]], lo[keep], hi[keep])
+    return int(ids[keep[order[0]]]), exact, math.ulp(exact)
 
 
-def _exact_order(q, rows):
+def _exact_order(q, rows, lo, hi):
     """Positions of `rows` in the exact order of their inner products with
     q, largest first, the lowest position first on a tie, and the largest
-    product rounded to float64. Rows with the same terms tie, so only
-    rows of different groups are summed, and only each group's first row
-    becomes a list. `math.fsum` rounds correctly, so the sign of a
-    difference of two rows' terms is exact."""
+    product rounded to float64. Each product lies in [lo, hi], and two
+    disjoint intervals decide a pair; the sort starts from the float order,
+    so it compares about one pair a row. Rows with the same terms tie, and
+    `math.fsum`, which rounds correctly, gives the exact sign of the
+    difference of two groups' terms; a group's first row becomes a list
+    only for that sum."""
     terms = _exact_terms(q, rows) + 0.0  # -0.0 to 0.0, so equal terms have equal bytes
     key = terms.view(np.dtype((np.void, terms.shape[1] * terms.itemsize))).ravel()
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     lead = terms[first]  # the first row of each group
-    plus, minus, group = lead.tolist(), (-lead).tolist(), group.tolist()
+    start = np.argsort(-(lo + hi), kind="stable").tolist()  # the float order
+    group, lo, hi = group.tolist(), lo.tolist(), hi.tolist()
 
     def compare(a, b):
+        if lo[a] > hi[b] or lo[b] > hi[a]:  # disjoint: the bounds decide
+            return -1 if lo[a] > hi[b] else 1
         g, h = group[a], group[b]
-        gap = 0 if g == h else math.fsum(plus[g] + minus[h])
+        gap = 0 if g == h else math.fsum(lead[g].tolist() + (-lead[h]).tolist())
         return -1 if gap > 0 else 1 if gap < 0 else a - b
 
-    order = sorted(range(len(group)), key=functools.cmp_to_key(compare))
-    return order, math.fsum(plus[group[order[0]]])
+    order = sorted(start, key=functools.cmp_to_key(compare))
+    return order, math.fsum(lead[group[order[0]]].tolist())
 
 
 def _exact_terms(q, rows):

@@ -6,6 +6,7 @@ seeds give bit-identical data on any platform, and any row of a stream
 can be regenerated independently from its counter offset.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ class SyntheticSpec:
             raise ValueError("need at least one training context per topic")
         if self.m_test < 1 or self.dim < 1:
             raise ValueError("m_test and dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True, eq=False)

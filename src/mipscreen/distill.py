@@ -7,6 +7,7 @@ accurate teacher scorer supervises training through an L2 term on the
 score gap, added to the usual binary cross entropy on labels.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,6 +90,9 @@ class DistillConfig:
     dim: Optional[int] = None  # embedding width; None means max(2, F // 2)
 
     def __post_init__(self):
+        for name in ("beta", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:

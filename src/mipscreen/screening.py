@@ -15,6 +15,7 @@ the optimal subsets have a closed form (keep s_kj exactly when alpha_kj
 descent through the softmax that gives mu.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,6 +160,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.k < 1 or self.alternations < 1:
             raise ValueError("k and alternations must be >= 1")
         if not 0.0 < self.lam < 1.0:
@@ -379,6 +382,7 @@ def assign_clusters(contexts: np.ndarray, model: ScreeningModel) -> np.ndarray:
     """Hard cluster id of every context row. Serving and evaluation both
     assign through here; a context then searches its cluster's row of
     `model.searched_bools`."""
+    contexts = as_matrix(contexts)
     if contexts.shape[1] != model.dim:
         raise ValueError(
             f"dimension mismatch: contexts {contexts.shape[1]} vs model {model.dim}"

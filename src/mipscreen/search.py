@@ -72,8 +72,24 @@ def top_k(c, candidates, k: int) -> list:
             f"dimension mismatch: context {c.shape[0]} vs "
             f"candidates {candidates.shape[1]}"
         )
-    return [SearchResult(int(i), inner_product(c, candidates[i]))
-            for i in inner_product_top_k(c, candidates, k)]
+    idx = inner_product_top_k(c, candidates, k)
+    scores = _scores(np.broadcast_to(c, (k, c.size)), candidates.take(idx, axis=0))
+    return [SearchResult(i, s) for i, s in zip(idx.tolist(), scores.tolist())]
+
+
+def _scores(contexts, rows) -> np.ndarray:
+    """inner_product(contexts[j], rows[j]) for every j, bit for bit, from
+    one stacked product: numpy computes each 1 x D @ D x 1 product with the
+    same float64 dot as `np.dot` of two vectors, once both operands are
+    C-contiguous (a broadcast context, cast as is, comes out column-major
+    and rounds differently). At D = 1 `np.dot` multiplies the two values,
+    which keeps the sign of a zero product, and the stacked product adds it
+    to +0.0."""
+    contexts = np.ascontiguousarray(contexts, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if contexts.shape[1] == 1:
+        return (contexts * rows).reshape(-1)
+    return np.matmul(contexts[:, None, :], rows[:, :, None]).reshape(-1)
 
 
 def recall_at_1(scorer, instances, contexts, candidates) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mipscreen import cli, core
+from mipscreen import cli, core, search
 from mipscreen.cli import run
 from mipscreen.core import inner_product
 from mipscreen.data import (
@@ -180,7 +180,11 @@ class TestPipeline:
         rows = (rng.normal(size=(2000, dim)) * rng.lognormal(size=(2000, 1))).astype(np.float32)
         contexts[11] = 0
         want = np.array([inner_product(c, r) for c, r in zip(contexts, rows)])
-        assert cli._scores(contexts, rows).tobytes() == want.tobytes()
+        assert search._scores(contexts, rows).tobytes() == want.tobytes()
+        # a broadcast context, as `top_k` passes its one context
+        want = np.array([inner_product(contexts[5], r) for r in rows])
+        broadcast = np.broadcast_to(contexts[5], rows.shape)
+        assert search._scores(broadcast, rows).tobytes() == want.tobytes()
 
     def test_search_exact_on_the_ball_path_prints_inner_products(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -640,6 +644,23 @@ class TestConfigDefaults:
         argv = [a for flag, field in flags.items() for a in (flag, str(doubled[field]))]
         got = self._config(monkeypatch, command, required[command] + argv)
         assert {field: getattr(got, field) for field in flags.values()} == doubled
+
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning from a non-finite value either
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [("gen", "--sigma"), ("train-screen", "--lr"),
+                                               ("grid", "--lr"), ("distill", "--lr"),
+                                               ("distill", "--beta")])
+    def test_non_finite_values_are_refused(self, capsys, tmp_path, required, command, flag,
+                                           value):
+        field = _CONFIG_FLAGS[command][2][flag]
+        fresh = ["--out-dir", str(tmp_path / "corpus")] if command == "gen" else []
+        before = sorted(tmp_path.iterdir())
+        assert run([command, *required[command], *fresh, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"mipscreen: error: {field} must be finite[^\n]*, got {value}\n",
+                            captured.err), captured.err
+        assert sorted(tmp_path.iterdir()) == before  # no output file or directory
 
     @pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
     def test_help_prints_each_default(self, capsys, command):

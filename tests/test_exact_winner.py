@@ -145,6 +145,44 @@ def test_wide_exact_ties_are_settled_without_a_comparison_per_row():
     assert oracle(q, rows)[0] == copies[0]
 
 
+@pytest.mark.parametrize("k", [1, 10, 100, 1000])
+def test_top_k_near_ties_within_the_rounding_bound(k):
+    # small-integer rows plus a last column of multiples of 2**-49, which
+    # the query takes once: every float64 score is exact in any summation
+    # order, so the float order is the exact order, and rows sharing their
+    # integer part lie within the rounding bound e of each other. Starting
+    # from the float order, the exact sort compares each neighbour once:
+    # an fsum for each overlapping pair, and one for the top product.
+    rng = np.random.default_rng(94)
+    rows = rng.integers(-2, 3, size=(4000, 4)).astype(np.float32)
+    rows[:, 3] = rng.integers(0, 16, size=4000) * 2.0**-49
+    q = np.array([2, 1, -1, 1], dtype=np.float32)
+    scores = rows.astype(np.float64) @ q.astype(np.float64)
+    unit = core._rounding(np.dtype(np.float32), 4).unit
+    e = core._rounding(np.dtype(np.float64), 4).bound(
+        core._row_norms(q[None], unit, "q")[0], core._row_norms(rows, unit, "c").max())
+    band = np.sort(scores[scores + e >= np.sort(scores - e)[-k]])[::-1]
+    overlaps = np.count_nonzero(band[:-1] - e <= band[1:] + e)
+    want = exact_top_k(q, rows, k)
+    with mock.patch.object(core.math, "fsum", wraps=core.math.fsum) as fsum:
+        assert [r.index for r in top_k(q, rows, k)] == want
+    assert 0 < fsum.call_count <= overlaps + 1
+    # scores anywhere within e of exact give the same rows: push the exact
+    # top k down by e / 2 and every other row up by e / 2 (still within e
+    # once rounded), which moves near-tied rows across the k-th
+    push = np.full(rows.shape[0], e / 2)
+    push[want] = -e / 2
+    assert set(np.argsort(-(scores + push), kind="stable")[:k]) != set(want)
+    matmul = np.matmul
+
+    def skewed(tile, q64, out):  # one tile: out holds every score
+        matmul(tile, q64, out=out)
+        out += push
+
+    with mock.patch.object(core.np, "matmul", skewed):
+        assert core.inner_product_top_k(q, rows, k).tolist() == want
+
+
 def test_float64_inputs_are_compared_exactly():
     # k-means passes float64 points and centroids, whose products round:
     # (1 + 2**-30)**2 = 1 + 2**-29 + 2**-60 exactly, which beats the second

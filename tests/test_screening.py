@@ -607,6 +607,7 @@ class TestFloat64Contexts:
         np.testing.assert_array_equal(contexts.astype(np.float32), cast)
         clusters = assign_clusters(cast, model)
         np.testing.assert_array_equal(assign_clusters(contexts, model), clusters)
+        np.testing.assert_array_equal(assign_clusters(contexts.tolist(), model), clusters)
         for c, k in zip(contexts, clusters):
             np.testing.assert_array_equal(predict_subset(c, model), [k])
         want = evaluate_model(model, cast, candidates)

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mipscreen.core import sigmoid
+from mipscreen.core import inner_product, sigmoid
 from mipscreen.search import (
     RankingInstance,
     build_ranking_instances,
@@ -118,6 +118,17 @@ class TestTopK:
         candidates = rng.normal(size=(5000, 32)).astype(np.float32)
         for c in rng.normal(size=(300, 32)).astype(np.float32):
             assert top_k(c, candidates, 1)[0] == exact_argmax(c, candidates)
+
+    def test_every_score_is_inner_product_bit_for_bit(self):
+        # the k scores come from one stacked product, whose last bits
+        # depend on the memory layout of the broadcast context
+        rng = np.random.default_rng(19)
+        candidates = rng.normal(size=(10000, 32)).astype(np.float32)
+        c = rng.normal(size=32).astype(np.float32)
+        results = top_k(c, candidates, 10000)
+        assert sorted(r.index for r in results) == list(range(10000))
+        assert [r.score for r in results] == [inner_product(c, candidates[r.index])
+                                              for r in results]
 
     def test_k_out_of_range(self):
         candidates = np.ones((3, 2), dtype=np.float32)
