@@ -111,7 +111,7 @@ def inner_product_top_k(q, rows, k) -> np.ndarray:
     e = _rounding(np.dtype(np.float64), q.size).bound(qnorm, cnorm)
     lo, hi = scores - e, scores + e
     band = np.flatnonzero(hi >= np.partition(lo, n - k)[n - k])  # ascending indices
-    return band[_exact_order(q, rows[band], lo[band], hi[band])[0][:k]]
+    return band[_exact_order(q, rows[band], lo[band], hi[band])[:k]]
 
 
 def inner_product_argmax(queries, rows) -> np.ndarray:
@@ -305,7 +305,8 @@ class _Balls(NamedTuple):
     def visits(self, queries, qnorms, state):
         """(group, query numbers) for _merge: each query's highest-bound
         group first, then every other group whose bound reaches the
-        query's running winner. A skipped group's rows all lose to it."""
+        query's running winner. A skipped group's rows all lose to it; a
+        group no query visits is not yielded."""
         _, best, err = state
         chunk = max(1, 2 * _BLOCK_ROWS * _TILE_ROWS // len(self.groups))  # bounds per pass
         for lo in range(0, queries.shape[0], chunk):
@@ -313,10 +314,14 @@ class _Balls(NamedTuple):
             ub = self.bounds(queries[lo:hi], qnorms[lo:hi])
             first = ub.argmax(axis=1)
             for g, group in enumerate(self.groups):
-                yield group, lo + np.flatnonzero(first == g)
+                who = np.flatnonzero(first == g)
+                if who.size:
+                    yield group, lo + who
             for g, group in enumerate(self.groups):
                 reach = ub[:, g] >= best[lo:hi] - err[lo:hi]
-                yield group, lo + np.flatnonzero(reach & (first != g))
+                who = np.flatnonzero(reach & (first != g))
+                if who.size:
+                    yield group, lo + who
 
 
 def _balls(rows, norms, rounding):
@@ -425,19 +430,19 @@ def _settle(q, rows, ids, scores, e, cur):
     lo, hi = np.append(scores - e, cur[1] - cur[2]), np.append(scores + e, cur[1] + cur[2])
     keep = np.flatnonzero(hi >= lo.max())
     keep = keep[np.argsort(ids[keep])]
-    order, exact = _exact_order(q, rows[ids[keep]], lo[keep], hi[keep])
-    return int(ids[keep[order[0]]]), exact, math.ulp(exact)
+    win = int(ids[keep[_exact_order(q, rows[ids[keep]], lo[keep], hi[keep])[0]]])
+    exact = math.fsum(_exact_terms(q, rows[win : win + 1])[0].tolist())  # rounded correctly
+    return win, exact, math.ulp(exact)
 
 
 def _exact_order(q, rows, lo, hi):
     """Positions of `rows` in the exact order of their inner products with
-    q, largest first, the lowest position first on a tie, and the largest
-    product rounded to float64. Each product lies in [lo, hi], and two
-    disjoint intervals decide a pair; the sort starts from the float order,
-    so it compares about one pair a row. Rows with the same terms tie, and
-    `math.fsum`, which rounds correctly, gives the exact sign of the
-    difference of two groups' terms; a group's first row becomes a list
-    only for that sum."""
+    q, largest first, the lowest position first on a tie. Each product
+    lies in [lo, hi], and two disjoint intervals decide a pair; the sort
+    starts from the float order, so it compares about one pair a row. Rows
+    with the same terms tie, and `math.fsum`, which rounds correctly, gives
+    the exact sign of the difference of two groups' terms; a group's first
+    row becomes a list only for that sum."""
     terms = _exact_terms(q, rows) + 0.0  # -0.0 to 0.0, so equal terms have equal bytes
     key = terms.view(np.dtype((np.void, terms.shape[1] * terms.itemsize))).ravel()
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
@@ -452,8 +457,7 @@ def _exact_order(q, rows, lo, hi):
         gap = 0 if g == h else math.fsum(lead[g].tolist() + (-lead[h]).tolist())
         return -1 if gap > 0 else 1 if gap < 0 else a - b
 
-    order = sorted(start, key=functools.cmp_to_key(compare))
-    return order, math.fsum(lead[group[order[0]]].tolist())
+    return sorted(start, key=functools.cmp_to_key(compare))
 
 
 def _exact_terms(q, rows):

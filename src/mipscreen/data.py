@@ -1,9 +1,16 @@
 """Binary embedding persistence and seeded synthetic data.
 
 All file formats are little-endian regardless of host. Random draws come
-from a splitmix64 counter stream pushed through Box-Muller, so identical
-seeds give bit-identical data on any platform, and any row of a stream
-can be regenerated independently from its counter offset.
+from a splitmix64 counter stream (uniform i scrambles counter seed + i,
+mod 2**64), so any row of a stream can be regenerated independently from
+its counter offset. Uniforms use integer operations and an exact scaling
+only, so identical seeds give bit-identical uniforms (and topic tags) on
+any platform. Normals push two uniform streams through Box-Muller, whose
+float64 log, cos and sin numpy does not round correctly: they repeat bit
+for bit on one numpy build and CPU, but may differ in the last bit on
+another. The stream runs through fixed buffers of _CHUNK counters, in
+place, so a draw of any length moves no whole-length temporaries; the
+values do not depend on the chunking.
 """
 
 import math
@@ -19,39 +26,78 @@ _EMB_MAGIC = b"EMB1"
 _PAIR_MAGIC = b"PAIR"
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+# counters per step of the stream: its five scratch buffers take 640 KiB,
+# which stays in L2, where whole-length temporaries went through memory
+_CHUNK = 1 << 14
+_RAMP = np.arange(_CHUNK, dtype=np.uint64)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 scramble of a uint64 array."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_U64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _splitmix64(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One splitmix64 scramble of the uint64 array z, in place (mod 2**64);
+    w, of z's shape, holds the shifts."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(z, np.uint64(30), out=w)
+    z ^= w
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=w)
+    z ^= w
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=w)
+    z ^= w
+    return z
 
 
 def mix_seed(seed: int, stream: int) -> int:
     """Derive an independent stream seed from (seed, stream id)."""
     base = np.uint64(seed & _U64) ^ (np.uint64(stream & _U64) << np.uint64(32))
-    return int(_splitmix64(np.atleast_1d(base))[0])
+    z = np.atleast_1d(base)
+    return int(_splitmix64(z, np.empty_like(z))[0])
+
+
+def _fill_uniform(seed: np.uint64, start: int, out, z, w) -> None:
+    """Uniforms of counters seed + start + i (mod 2**64) into out, with
+    uint64 scratch z and w of out's length."""
+    np.add(_RAMP[: out.size], np.uint64(start), out=z)
+    z += seed
+    np.right_shift(_splitmix64(z, w), np.uint64(11), out=z)
+    out[...] = z
+    out += 1.0
+    out *= 2.0**-53
 
 
 def random_uniform(seed: int, count: int) -> np.ndarray:
     """count doubles in (0, 1], from sequential splitmix64 counters."""
-    counters = np.uint64(seed & _U64) + np.arange(count, dtype=np.uint64)
-    bits = _splitmix64(counters)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    out, seed = np.empty(count), np.uint64(seed & _U64)
+    z, w = np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64)
+    for start in range(0, count, _CHUNK):
+        t = min(_CHUNK, count - start)
+        _fill_uniform(seed, start, out[start : start + t], z[:t], w[:t])
+    return out
 
 
 def random_normals(seed: int, count: int) -> np.ndarray:
-    """count standard normals via Box-Muller over the counter stream."""
+    """count standard normals via Box-Muller over the counter stream: the
+    radius from one uniform stream, the angle from a second, _CHUNK pairs
+    a step, each pair one (cos, sin) couple of the output."""
     pairs = (count + 1) // 2
-    u1 = random_uniform(seed, pairs)
-    u2 = random_uniform(mix_seed(seed, 0x5EED), pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    couples = out.reshape(pairs, 2)
+    seeds = np.uint64(seed & _U64), np.uint64(mix_seed(seed, 0x5EED))
+    r, a, trig = (np.empty(_CHUNK) for _ in range(3))
+    z, w = np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64)
+    for start in range(0, pairs, _CHUNK):
+        t = min(_CHUNK, pairs - start)
+        rt, at, ct = r[:t], a[:t], trig[:t]
+        _fill_uniform(seeds[0], start, rt, z[:t], w[:t])
+        _fill_uniform(seeds[1], start, at, z[:t], w[:t])
+        np.log(rt, out=rt)
+        rt *= -2.0
+        np.sqrt(rt, out=rt)
+        at *= 2.0 * np.pi  # (2 pi) u: the grouping of 2.0 * np.pi * u
+        np.cos(at, out=ct)
+        np.multiply(rt, ct, out=couples[start : start + t, 0])
+        np.sin(at, out=ct)
+        np.multiply(rt, ct, out=couples[start : start + t, 1])
     return out[:count]
 
 
@@ -143,8 +189,8 @@ def _noisy_rows(directions, tags, sigma, seed) -> np.ndarray:
 
 def _uniform_tags(seed: int, count: int, topics: int) -> np.ndarray:
     """count topic ids in [0, topics), one splitmix64 counter each."""
-    bits = _splitmix64(np.uint64(seed) + np.arange(count, dtype=np.uint64))
-    return (bits % np.uint64(topics)).astype(np.int64)
+    z = np.uint64(seed) + np.arange(count, dtype=np.uint64)
+    return (_splitmix64(z, np.empty_like(z)) % np.uint64(topics)).astype(np.int64)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:

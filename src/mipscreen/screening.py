@@ -382,7 +382,11 @@ def assign_clusters(contexts: np.ndarray, model: ScreeningModel) -> np.ndarray:
     """Hard cluster id of every context row. Serving and evaluation both
     assign through here; a context then searches its cluster's row of
     `model.searched_bools`."""
-    contexts = as_matrix(contexts)
+    return _assign(as_matrix(contexts), model)
+
+
+def _assign(contexts, model: ScreeningModel) -> np.ndarray:
+    """`assign_clusters` of a float32 row matrix, cast at the public entry."""
     if contexts.shape[1] != model.dim:
         raise ValueError(
             f"dimension mismatch: contexts {contexts.shape[1]} vs model {model.dim}"
@@ -392,14 +396,14 @@ def assign_clusters(contexts: np.ndarray, model: ScreeningModel) -> np.ndarray:
 
 def predict_subset(c, model: ScreeningModel) -> np.ndarray:
     """Candidate indices this context searches."""
-    return model.member_indices[assign_clusters(as_vector(c)[None], model)[0]]
+    return model.member_indices[_assign(as_vector(c)[None], model)[0]]
 
 
 def screened_search(c, model: ScreeningModel, candidates) -> SearchResult:
     """Exact argmax restricted to the predicted subset."""
     c = as_vector(c)
     candidates = model.check_candidates(candidates)
-    members = predict_subset(c, model)
+    members = model.member_indices[_assign(c[None], model)[0]]
     # take() gathers rows about twice as fast as fancy indexing
     best = int(members[inner_product_argmax(c[None], candidates.take(members, axis=0))[0]])
     return SearchResult(best, inner_product(c, candidates[best]))
@@ -411,7 +415,7 @@ def screened_search_batch(contexts, model: ScreeningModel, candidates) -> np.nda
     searched rows, gathered once."""
     contexts = as_matrix(contexts)
     candidates = model.check_candidates(candidates)
-    clusters = assign_clusters(contexts, model)
+    clusters = _assign(contexts, model)
     out = np.empty(contexts.shape[0], dtype=np.int64)
     for k in np.unique(clusters):
         group = np.flatnonzero(clusters == k)

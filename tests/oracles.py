@@ -248,3 +248,43 @@ def dense_train(contexts, candidates, labels, cfg, initial_centroids):
                 centroids -= cfg.learning_rate * (grad / batch.size)
     _, best_step, best_centroids, best_bits = best
     return best_centroids.astype(np.float32), best_bits, before, after, best_step
+
+
+# The whole-array counter RNG: every draw a full-length temporary. The
+# package streams the same counters through fixed buffers; its output must
+# equal these byte for byte.
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 scramble of a uint64 array."""
+    z = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(_U64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def mix_seed(seed: int, stream: int) -> int:
+    """Derive an independent stream seed from (seed, stream id)."""
+    base = np.uint64(seed & _U64) ^ (np.uint64(stream & _U64) << np.uint64(32))
+    return int(_splitmix64(np.atleast_1d(base))[0])
+
+
+def random_uniform(seed: int, count: int) -> np.ndarray:
+    """count doubles in (0, 1], from sequential splitmix64 counters."""
+    counters = np.uint64(seed & _U64) + np.arange(count, dtype=np.uint64)
+    bits = _splitmix64(counters)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def random_normals(seed: int, count: int) -> np.ndarray:
+    """count standard normals via Box-Muller over the counter stream."""
+    pairs = (count + 1) // 2
+    u1 = random_uniform(seed, pairs)
+    u2 = random_uniform(mix_seed(seed, 0x5EED), pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]

@@ -91,15 +91,26 @@ def test_ball_path_matches_the_rational_oracle(seed, dim, k, n):
         np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
 
 
-def test_ball_path_is_taken_and_every_query_matches(small):
+def test_ball_path_is_taken_and_every_query_matches(small, monkeypatch):
     # three clusters, each split into groups of 8-15 rows; every integer
-    # query in [-2, 2]^3, so many queries have exact ties across groups
+    # query in [-2, 2]^3, so many queries have exact ties across groups.
+    # Most groups lose to most queries' first group: a group no query
+    # visits costs no _merge call.
+    who_sizes = []
+    merge = core._merge
+
+    def spy(queries, qnorms, rows, group, who, *rest):
+        who_sizes.append(who.size)
+        return merge(queries, qnorms, rows, group, who, *rest)
+
+    monkeypatch.setattr(core, "_merge", spy)
     rows = clustered(np.random.default_rng(3), 144, 2, 3)
     queries = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3), axis=-1).reshape(-1, 3)
     queries = queries.astype(np.float32)
     np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
     (balls,) = small
     assert balls is not None and balls.centers.shape[0] > 3  # groups of several balls
+    assert who_sizes and min(who_sizes) > 0
 
 
 def test_a_tie_in_a_ball_visited_later_goes_to_its_lower_index(small):

@@ -1,11 +1,14 @@
 """Persistence formats, the counter RNG, and the synthetic generators."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from mipscreen.data import (
+    _CHUNK,
+    _uniform_tags,
     PairSpec,
     SyntheticSpec,
     build_labels,
@@ -23,6 +26,8 @@ from mipscreen.data import (
 )
 from mipscreen.search import exact_argmax
 from oracles import naive_argmax
+from oracles import random_normals as whole_array_normals
+from oracles import random_uniform as whole_array_uniform
 
 
 class TestCounterRng:
@@ -46,6 +51,43 @@ class TestCounterRng:
         u = random_uniform(42, 200000)
         assert np.all((u > 0) & (u <= 1))
         assert abs(u.mean() - 0.5) < 0.005
+
+    # counts at and around the stream's buffer length, as uniforms and as
+    # Box-Muller pairs; seed 2**64 - 1 makes the counters wrap
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                       2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                                       2 * _CHUNK + 2, 4 * _CHUNK + 1, 100001])
+    def test_stream_equals_the_whole_array_draws(self, seed, count):
+        for ours, theirs in ((random_uniform, whole_array_uniform),
+                             (random_normals, whole_array_normals)):
+            got, want = ours(seed, count), theirs(seed, count)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_draws_match_pinned_digests(self):
+        # integer operations and an exact scaling only: these bytes are the
+        # same on every platform and numpy version
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+        uniforms = {
+            0: "574775a2e0bb61dce01479fad45a13661fe621ab16b3edd401a337f3edbc2f83",
+            42: "653fbc9a1fdc5dda43d6376b7d40a48d1fec0cc10af95a6bce5c39288d8cdce3",
+            2**64 - 1: "3ed59e74a267ad349c47f333e4e07b28344f0376e610fb63c9e69dde5f1d7e9b",
+        }
+        for seed, want in uniforms.items():
+            assert digest(random_uniform(seed, 100001)) == want
+        seeds, streams = [0, 1, 42, 7, 2**63, 2**64 - 1], [0, 1, 2, 14, 0x5EED, 2**32 + 5, 2**64 - 1]
+        mixed = np.array([mix_seed(a, b) for a in seeds for b in streams], dtype=np.uint64)
+        assert digest(mixed) == "38341d227183d373a39707f1995502fd1c6acc1c8dd28b70c28a6260267963cd"
+        tags = {
+            (0, 5000, 20): "dc109b925280486e8725a2f0e9f3985c6fef02c153c68c8ecd7d11a74a38b14f",
+            (2**64 - 1, 4000, 50): "7665b0ee281725415cbbe1d76e1e6596f220acb32f50894012b53ea1d916dcb5",
+            (42, 100001, 7): "57ac83e6fc500dc66ded7594c67d2eac4b10d0078a2b59cbb0729d6f38adc7ff",
+        }
+        for args, want in tags.items():
+            assert digest(_uniform_tags(*args)) == want
 
 
 class TestEmbeddingsIO:

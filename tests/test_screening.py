@@ -4,6 +4,7 @@ the alternating trainer, and screened search."""
 import numpy as np
 import pytest
 
+from mipscreen import screening
 from mipscreen.evaluate import evaluate_model
 from mipscreen.kmeans import KMeansConfig, spherical_kmeans
 from mipscreen.screening import (
@@ -20,6 +21,7 @@ from mipscreen.screening import (
     retrieve_prob,
     save_model,
     screened_search,
+    screened_search_batch,
     soft_assign_batch,
     total_loss,
     train,
@@ -554,8 +556,33 @@ class TestPredictAndSearch:
 
     def test_context_dimension_mismatch_rejected(self):
         model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
-        with pytest.raises(ValueError, match="dimension mismatch: contexts 4 vs model 3"):
-            predict_subset(np.ones(4), model)
+        candidates = np.ones((5, 3), dtype=np.float32)
+        for call in (
+            lambda: predict_subset(np.ones(4), model),
+            lambda: screened_search(np.ones(4), model, candidates),
+            lambda: screened_search_batch(np.ones((2, 4)), model, candidates),
+            lambda: assign_clusters(np.ones((2, 4)), model),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "dimension mismatch: contexts 4 vs model 3"
+
+    def test_screened_search_casts_the_context_once(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        model = make_model(rng.normal(size=(2, 3)).astype(np.float32), np.eye(2, 5), 0.1)
+        candidates = rng.normal(size=(5, 3)).astype(np.float32)
+        c = rng.normal(size=3)  # float64: each cast makes a copy
+        want = screened_search(c, model, candidates)
+        casts = []
+        for name in ("as_vector", "as_matrix"):
+            def spy(x, cast=getattr(screening, name), name=name):
+                casts.append((name, x))
+                return cast(x)
+
+            monkeypatch.setattr(screening, name, spy)
+        assert screened_search(c, model, candidates) == want
+        # the candidates are cast by check_candidates; the context once
+        assert [(name, x is c) for name, x in casts if x is not candidates] == [("as_vector", True)]
 
     def test_candidate_dimension_mismatch_rejected(self):
         model = make_model(np.ones((2, 3), dtype=np.float32), np.ones((2, 5)), 0.1)
