@@ -233,11 +233,18 @@ def _argmax_batch(queries, rows, rounding) -> np.ndarray:
         return _argmax_batch(queries.astype(wider.dtype), rows.astype(wider.dtype), wider)
     # the running winners (index, best, err): each exact score is best +- err
     state = np.zeros(m, dtype=np.int64), np.full(m, -np.inf), np.zeros(m)
-    # Balls pay for their build only on a long scan: building them costs
-    # about as much as scanning 250 queries (crossover 220-550 queries at
-    # n = 100k-10k, D = 32), and on rows without clusters the pivot search
-    # wastes about 3 ms, under 3% of a scan of 32 full score blocks.
-    long_scan = m >= 2 * _BLOCK_ROWS and m * n >= 64 * _BLOCK_ROWS * _TILE_ROWS
+    # Balls pay for their build only on a long scan. Medians on a 2-core
+    # host, one BLAS thread, D = 32, 50-topic gen_synthetic rows, the same
+    # winners either way:
+    #   2000 x 10k, seed 42: scan 36 ms,  balls 10 ms
+    #   2000 x 10k, seed 7:  scan 36 ms,  balls 10 ms
+    #   2000 x 30k:          scan 101 ms, balls 17 ms
+    # On rows without clusters the failed pivot search is the cost: on
+    # Gaussian rows it wastes 2-3.5 ms against a 33 ms scan of 2000 x 10k,
+    # and at the threshold, 16 full score blocks (1678 x 10k), the call
+    # took 12% longer than the scan. Balls win below it too (1000 x 10k:
+    # 20 ms scan, 10 ms balls), but there a failed search would cost 20%.
+    long_scan = m >= 2 * _BLOCK_ROWS and m * n >= 16 * _BLOCK_ROWS * _TILE_ROWS
     balls = _balls(rows, norms, rounding) if long_scan and n >= 2 * _TILE_ROWS else None
     if balls is None:  # one ball: its tiles in order, every query visiting each
         visits = [((np.arange(s, s + t.shape[0]), t, norms[s : s + t.shape[0]]), None)
@@ -330,9 +337,11 @@ def _balls(rows, norms, rounding):
     A center is the mean of the sample rows nearest a pivot, rounded to
     the rows' dtype; each row joins its nearest center (`_nearest`). The
     rows are gathered once in center order, so each group's rows and norms
-    are slices of that one copy. A radius bounds the norms of the rounded
-    differences from the center, divided by 1 - 2u: one u for the
-    difference, one for the division."""
+    are slices of that one copy. The radii come from the assignment, with
+    no differences from the centers formed: |x - c|^2 = |x|^2 - 2b for
+    the exact b = c . x - |c|^2 / 2, so each row's norm bound and its
+    float score b, plus slack for the rounding of b and of the float64
+    arithmetic, bound it (`_radii`)."""
     n, top = rows.shape[0], float(norms.max())
     if not rounding.bound(top, top) < rounding.limit:  # so no product of rows overflows
         return None
@@ -343,24 +352,57 @@ def _balls(rows, norms, rounding):
     pivots = _pivots(centered)
     if pivots is None:
         return None
-    owner = _nearest(centered, centered[pivots])  # each pivot owns at least itself
+    owner, _ = _nearest(centered, centered[pivots])  # each pivot owns at least itself
     sums = (owner == np.arange(len(pivots))[:, None]) @ sample
     centers = (sums / np.bincount(owner)[:, None]).astype(rows.dtype)
-    labels = _nearest(rows, centers)
+    cnorms = _row_norms(centers, rounding.unit, "centers")
+    labels, scores = _nearest(rows, centers)
     order = np.argsort(labels, kind="stable")  # ascending ids within each center
     counts = np.bincount(labels, minlength=centers.shape[0])
     ends = np.cumsum(counts)
     rows, norms = rows.take(order, axis=0), norms[order]
-    groups, center_of, radii = [], [], []
+    groups, center_of, starts = [], [], []
     for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
         for s, block in _tiles(rows[lo:hi]) if hi > lo else ():
             at = slice(lo + s, lo + s + block.shape[0])
             groups.append((order[at], block, norms[at]))
             center_of.append(c)
-            radii.append(_row_norms(block - centers[c], rounding.unit, "candidates").max())
-    centers = centers[center_of]
-    return _Balls(groups, centers.astype(np.float64), _row_norms(centers, rounding.unit, "centers"),
-                  np.array(radii) / (1 - 2 * rounding.unit))
+            starts.append(at.start)
+    cnorms = cnorms[center_of]
+    return _Balls(groups, centers[center_of].astype(np.float64), cnorms,
+                  _radii(norms, scores[order], cnorms, starts, rounding))
+
+
+def _radii(norms, scores, cnorms, starts, rounding):
+    """Upper bounds on |x - c| over each group of rows x, the groups being
+    the runs of rows that begin at `starts`, from each row's norm bound X
+    and its assignment score b = fl(fl(c . x) - fl(|c|^2 / 2)) against its
+    center c, whose norm is at most C = `cnorms` of its group.
+
+    |x - c|^2 = |x|^2 - 2 (c . x - |c|^2 / 2). The product's rounding is
+    at most gamma C X + floor, the half-norm's (gamma C^2 + floor) / 2 plus
+    half the smallest subnormal for the halving, the subtraction's
+    u |b| / (1 - u) (exact where the result is subnormal), so
+
+        |x - c|^2 <= X^2 - 2b + 2u |b| / (1 - u) + gamma (2CX + C^2)
+                     + 3 floor + tiny.
+
+    The per-row part X^2 - 2b gets slack e (X^2 + 2|b|) with
+    e = u / (1 - u) + 8 float64 units: the subtraction's share, and room
+    for the float64 rounding of every step, which is relative to X^2 and
+    2|b| even where they cancel. Its maximum over each group is one
+    reduction; the group's largest X stands in for X in the gamma term,
+    and gamma carries 1% for float64 arithmetic. The square root is
+    divided by 1 - 2u: one u for the root, one for the division."""
+    x64 = _rounding(np.dtype(np.float64), 1).unit
+    e = rounding.unit / (1 - rounding.unit) + 8 * x64
+    b = scores.astype(np.float64)
+    sq = norms * norms
+    per_row = sq - 2 * b + e * (sq + 2 * np.abs(b))
+    widest = np.maximum.reduceat(norms, starts)
+    bound = np.maximum.reduceat(per_row, starts) + rounding.gamma * cnorms * (2 * widest + cnorms)
+    bound += 3 * rounding.floor + rounding.tiny
+    return np.sqrt(np.maximum(bound, 0.0)) / (1 - 2 * rounding.unit)
 
 
 def _pivots(sample):
@@ -390,30 +432,33 @@ def _pivots(sample):
 
 
 def _nearest(x, centers):
-    """Index of the nearest center for each row of x by float scores
-    c . x - |c|^2 / 2, the lowest index on a tie, as int16 (a radix sort
-    in `_balls`). x is scored one tile at a time in the (centers x rows)
-    layout, so the largest score, the rows that reach it and the first
-    center among them are column reductions: an argmax along rows as
-    short as the center count costs more per row than it scans. The
-    buffers are reused across tiles; they hold at most one score block."""
+    """(labels, scores): the index of the nearest center for each row of x
+    by float scores c . x - |c|^2 / 2, the lowest index on a tie, as int16
+    (a radix sort in `_balls`), and each row's winning score in x's dtype,
+    fl(fl(c . x) - fl(|c|^2 / 2)): within gamma |c| (|x| + |c| / 2), the
+    floors and a unit of itself of exact, which `_radii` bounds. x is
+    scored one tile at a time in the (centers x rows) layout, so the
+    largest score, the rows that reach it and the first center among them
+    are column reductions: an argmax along rows as short as the center
+    count costs more per row than it scans. The buffers are reused across
+    tiles; they hold at most one score block."""
     k, width = centers.shape[0], max(t.shape[0] for _, t in _tiles(x))
     half = (0.5 * np.einsum("ij,ij->i", centers, centers))[:, None]
     # the first center ranks highest; one byte a rank for up to 256 centers
     rank = (k - 1 - np.arange(k)).astype(np.min_scalar_type(k - 1))[:, None]
     scores, hit = np.empty(k * width, dtype=x.dtype), np.empty(k * width, dtype=bool)
-    ranks, top = np.empty(k * width, dtype=rank.dtype), np.empty(width, dtype=x.dtype)
-    out = np.empty(x.shape[0], dtype=np.int16)
+    ranks = np.empty(k * width, dtype=rank.dtype)
+    out, top = np.empty(x.shape[0], dtype=np.int16), np.empty(x.shape[0], dtype=x.dtype)
     for s, tile in _tiles(x):
         t = tile.shape[0]
         block, hits, ranked = (b[: k * t].reshape(k, t) for b in (scores, hit, ranks))
         np.matmul(centers, tile.T, out=block)
         np.subtract(block, half, out=block)
-        np.max(block, axis=0, out=top[:t])
-        np.equal(block, top[:t], out=hits)
+        np.max(block, axis=0, out=top[s : s + t])
+        np.equal(block, top[s : s + t], out=hits)
         np.multiply(hits, rank, out=ranked)
         out[s : s + t] = k - 1 - ranked.max(axis=0)
-    return out
+    return out, top
 
 
 def _settle(q, rows, ids, scores, e, cur):

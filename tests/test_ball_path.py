@@ -62,17 +62,19 @@ def want(queries, rows):
     return [oracle(q, rows)[0] for q in queries]
 
 
-def assert_rows_in_their_balls(balls, rows):
+def assert_rows_in_their_balls(balls, rows, checked=None):
     """The groups partition the rows, each group's ids ascend and its block
-    holds those rows, and every row c lies inside its ball: |c - center| <=
-    radius, in rational arithmetic."""
+    holds those rows, and every row c numbered in `checked` (all of them by
+    default) lies inside its ball: |c - center| <= radius, in rational
+    arithmetic."""
     ids = np.concatenate([g[0] for g in balls.groups])
     np.testing.assert_array_equal(np.sort(ids), np.arange(rows.shape[0]))
+    checked = np.arange(rows.shape[0]) if checked is None else checked
     for (ids, block, _), center, radius in zip(balls.groups, balls.centers, balls.radii):
         assert (np.diff(ids) > 0).all()
         np.testing.assert_array_equal(block, rows[ids])
         center = [Fraction(float(x)) for x in center]
-        for row in block.tolist():
+        for row in block[np.isin(ids, checked)].tolist():
             assert sum((Fraction(x) - y) ** 2 for x, y in zip(row, center)) <= Fraction(radius) ** 2
 
 
@@ -185,6 +187,46 @@ def test_gaussian_rows_take_the_scan_and_clustered_rows_stop_at_their_topics(mon
     assert built[1] is not None and built[1].centers.shape[0] == 8
 
 
+def topics(m, n, seed):
+    syn = gen_synthetic(SyntheticSpec(m_train=m, m_test=1, n_candidates=n, dim=32, topics=50,
+                                      noise_sigma=0.3, seed=seed))
+    return syn.train_contexts, syn.candidates
+
+
+def gaussian(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(m, 32)).astype(np.float32), rng.normal(size=(n, 32)).astype(np.float32)
+
+
+# (corpus, m, n, seed, path) at the real tile and block sizes: "scan" makes
+# no _balls call, "balls" builds them, "tried" finds no clusters. A long
+# batch has m n >= 16 full score blocks of 256 x 4096.
+@pytest.mark.parametrize("corpus, m, n, seed, path", [
+    (topics, 1000, 10_000, 42, "scan"),  # m n under 16 score blocks
+    (topics, 1000, 10_000, 7, "scan"),
+    (topics, 2000, 10_000, 42, "balls"),
+    (topics, 2000, 10_000, 7, "balls"),
+    (topics, 1000, 30_000, 42, "balls"),
+    (topics, 1000, 30_000, 7, "balls"),
+    (topics, 2000, 30_000, 42, "balls"),
+    (topics, 2000, 30_000, 7, "balls"),
+    (topics, 1677, 10_000, 42, "scan"),  # the edges of 16 score blocks
+    (topics, 1678, 10_000, 42, "balls"),
+    (topics, 559, 30_000, 42, "scan"),
+    (topics, 560, 30_000, 42, "balls"),
+    (topics, 511, 100_000, 42, "scan"),  # m under 2 blocks
+    (topics, 512, 100_000, 42, "balls"),
+    (topics, 2100, 8191, 42, "scan"),  # n under 2 tiles
+    (gaussian, 2000, 10_000, 9, "tried"),
+])
+def test_the_size_rule_decides_which_batches_look_for_balls(built, corpus, m, n, seed, path):
+    queries, rows = corpus(m, n, seed)
+    got = argmax_batch(queries, rows)
+    assert ["tried" if b is None else "balls" for b in built] == ([] if path == "scan" else [path])
+    if path != "scan":
+        np.testing.assert_array_equal(got, [exact_argmax(q, rows).index for q in queries])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_contexts_are_named_before_candidates_on_the_ball_path(small, bad):
     rows = clustered(np.random.default_rng(11), 128, 2, 2)
@@ -244,7 +286,17 @@ def tiny(rng):  # squares below float32's subnormals: norms and radii from the f
     return rows, rng.integers(-2, 3, size=(16, 3)).astype(np.float32)
 
 
-@pytest.mark.parametrize("case", [equidistant, duplicates, widened, tiny])
+def cancelling(rng):
+    """Clusters at norms near 2**20 with +-1 jitter: |x|^2 is about 2**41
+    while |x - c|^2 is a few units, so the radii come from the difference
+    of two nearly equal terms, |x|^2 and 2 (c . x - |c|^2 / 2)."""
+    corners = np.array(list(itertools.product([-(2**20), 2**20], repeat=2)))
+    rows = corners[rng.permutation(4)[:3]][rng.integers(0, 3, size=128)]
+    rows = rows + rng.integers(-1, 2, size=(128, 2))
+    return rows.astype(np.float32), rng.integers(-2, 3, size=(16, 2)).astype(np.float32)
+
+
+@pytest.mark.parametrize("case", [equidistant, duplicates, widened, tiny, cancelling])
 def test_every_row_lies_inside_its_ball(small, case):
     rows, queries = case(np.random.default_rng(14))
     np.testing.assert_array_equal(argmax_batch(queries, rows), want(queries, rows))
@@ -253,10 +305,47 @@ def test_every_row_lies_inside_its_ball(small, case):
     assert_rows_in_their_balls(balls, rows)
     if case is equidistant:
         assert {tuple(c) for c in balls.centers.tolist()} == {(0.0, 8.0), (8.0, 0.0)}
+    if case is cancelling:  # the slack stays far below the gaps between clusters
+        assert balls.radii.max() < 2.0**12
+
+
+def test_radii_cover_the_rounding_of_the_assignment_scores():
+    # With the rows' exact norms as X, only _radii's slack covers the
+    # rounding of b: at norms near 2**20 a float32 score c . x is rounded
+    # by up to 2**16, where |x - c|^2 is a few units.
+    rows, _ = cancelling(np.random.default_rng(16))
+    centers = np.unique(np.round(rows / 2.0**20), axis=0) * 2.0**20 + (0.375, -0.625)
+    centers = centers.astype(np.float32)
+    labels, scores = core._nearest(rows, centers)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    groups = labels[order][starts]  # the center of each run
+    exact = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))  # exact squares
+    rounding = core._rounding(rows.dtype, 2)
+    cnorms = core._row_norms(centers, rounding.unit, "centers")[groups]
+    radii = core._radii(np.nextafter(exact, np.inf)[order], scores[order], cnorms, starts, rounding)
+    for c, radius in zip(groups, radii):
+        center = [Fraction(float(x)) for x in centers[c]]
+        for row in rows[labels == c].tolist():
+            assert sum((Fraction(x) - y) ** 2 for x, y in zip(row, center)) <= Fraction(radius) ** 2
+
+
+def test_sampled_rows_lie_inside_their_balls_at_full_tile_size(built):
+    # 2000 queries over 10k rows of 50 topics take the ball path at the
+    # real tile and block sizes; 256 sampled rows are checked exactly
+    syn = gen_synthetic(SyntheticSpec(m_train=2000, m_test=1, n_candidates=10_000, dim=32,
+                                      topics=50, noise_sigma=0.3, seed=42))
+    argmax_batch(syn.train_contexts, syn.candidates)
+    (balls,) = built
+    assert balls is not None
+    checked = np.random.default_rng(15).choice(10_000, size=256, replace=False)
+    assert_rows_in_their_balls(balls, syn.candidates, checked)
 
 
 def test_a_row_equidistant_from_two_centers_joins_the_first():
     centers = np.array([[0, 8], [8, 0]], dtype=np.float32)
     x = np.array([[4, 4], [3, 5], [5, 3]], dtype=np.float32)
-    np.testing.assert_array_equal(core._nearest(x, centers), [0, 0, 1])
-    np.testing.assert_array_equal(core._nearest(x, centers[::-1]), [0, 1, 0])
+    labels, scores = core._nearest(x, centers)
+    np.testing.assert_array_equal(labels, [0, 0, 1])
+    np.testing.assert_array_equal(scores, [0, 8, 8])  # c . x - |c|^2 / 2 at the winner
+    np.testing.assert_array_equal(core._nearest(x, centers[::-1])[0], [0, 1, 0])

@@ -71,8 +71,9 @@ def oracle_screened(q, model, candidates):
     return int(members[oracle(q, candidates[members])[0]])
 
 
-# tile 1 also scores one query per block, so a batch of 8 queries over 8
-# or more rows takes the ball path (a single ball of one-row groups)
+# tile 1 also scores one query per block, so a batch of m >= 2 queries
+# over n >= 2 rows with m n >= 16 looks for balls (one-row groups); the
+# scan twin searches the same batch with no balls
 @pytest.mark.parametrize("tile", [None, 2, 3, 1])
 @settings(max_examples=150, deadline=None)
 @given(problem=screening_problem())
@@ -83,6 +84,8 @@ def test_every_path_matches_the_rational_oracle(tile, problem):
         want = [oracle(q, candidates)[0] for q in queries]
         assert [exact_argmax(q, candidates).index for q in queries] == want
         np.testing.assert_array_equal(argmax_batch(queries, candidates), want)
+        with mock.patch.object(core, "_balls", return_value=None):  # the scan twin
+            np.testing.assert_array_equal(argmax_batch(queries, candidates), want)
 
         clusters = [oracle(q, model.centroids)[0] for q in queries]
         np.testing.assert_array_equal(assign_clusters(queries, model), clusters)
