@@ -259,6 +259,10 @@ def _load_model(path, candidates) -> scr.ScreeningModel:
 
 
 def _cmd_search(args) -> int:
+    """Answer the whole context file in one call (`argmax_batch`, or
+    `screened_search_batch` for --screened) and print one `index score`
+    line per context, in input order, with one write; each score is
+    `inner_product(context, candidates[index])` bit for bit (`_scores`)."""
     if args.screened and not args.model:
         raise _UsageError("search: --screened requires --model")
     if args.model and not args.screened:

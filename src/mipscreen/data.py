@@ -133,14 +133,24 @@ def write_labels(labels, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    """One label per non-blank line, each a non-negative int64."""
+    """One label per non-blank line, each a non-negative int64. The first
+    bad line is named only once the one-pass parse has failed."""
     with open(path) as fh:
         lines = fh.readlines()
-    values = [int(line) for line in lines if line.strip()]
-    if values and not 0 <= min(values) <= max(values) < 2**63:
-        n, bad = next((n, line.strip()) for n, line in enumerate(lines, 1)
-                      if line.strip() and not 0 <= int(line) < 2**63)
-        raise ValueError(f"labels must be non-negative int64 values: line {n} reads {bad}")
+    try:
+        values = [int(line) for line in lines if line.strip()]
+    except ValueError:  # not an integer
+        values = None
+    if values is None or values and not 0 <= min(values) <= max(values) < 2**63:
+
+        def bad(line):
+            try:
+                return not 0 <= int(line) < 2**63
+            except ValueError:
+                return True
+
+        n, line = next((n, line) for n, line in enumerate(lines, 1) if line.strip() and bad(line))
+        raise ValueError(f"labels must be non-negative int64 values: line {n} reads {line.strip()}")
     return np.asarray(values, dtype=np.int64)
 
 

@@ -9,10 +9,13 @@ The training objective is bilinear in the soft assignment mu (M, K) and
 the subset bits s (K, N): M + sum_ikj mu_ik s_kj (lam - (lam + 1) [j == y_i]),
 with y_i the best candidate of context i. Its derivative in s is alpha
 (`compute_alpha`), its derivative in mu the cluster-cost table
-(`_cluster_costs`). Training alternates two moves: with centroids fixed
-the optimal subsets have a closed form (keep s_kj exactly when alpha_kj
-<= 0), and with subsets fixed the centroids move by mini-batch gradient
-descent through the softmax that gives mu.
+(`_cluster_costs`). Training alternates two moves: with subsets fixed
+the centroids move by mini-batch gradient descent through the softmax
+that gives mu (`_soft_assign`), and with centroids fixed the optimal
+subsets have a closed form (keep s_kj exactly when alpha_kj <= 0). The
+first alternation takes the subset step alone, from the k-means
+centroids; each later one runs SGD first, so every alternation ends with
+a subset step.
 """
 
 import math
@@ -153,7 +156,7 @@ class ScreeningTrainSet:
 class TrainConfig:
     k: int = 10
     lam: float = 1e-6
-    alternations: int = 10  # closed-form subset step + SGD step pairs
+    alternations: int = 10  # subset steps; SGD epochs precede each but the first
     learning_rate: float = 0.05
     epochs_per_alternation: int = 1
     batch_size: int = 256
@@ -180,7 +183,10 @@ class TrainResult:
     best_step: int
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
+def _soft_assign(contexts64, centroids64) -> np.ndarray:
+    """(M, K) soft assignment mu of float64 contexts to float64 centroids:
+    the softmax of each row of the logits contexts64 @ centroids64.T."""
+    z = contexts64 @ centroids64.T
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -191,8 +197,7 @@ def soft_assign_batch(contexts, centroids) -> np.ndarray:
     dots, for every context row."""
     contexts = as_matrix(contexts)
     centroids = as_matrix(centroids)
-    z = contexts.astype(np.float64) @ centroids.astype(np.float64).T
-    return _softmax_rows(z)
+    return _soft_assign(contexts.astype(np.float64), centroids.astype(np.float64))
 
 
 def retrieve_prob(mu: np.ndarray, subsets: np.ndarray, j: int) -> float:
@@ -302,7 +307,7 @@ def _subset_step(mu, inv, d, n, lam):
 
 def _gradient(centroids64, contexts64, costs):
     """d(objective)/d(centroids), summed over contexts with these costs."""
-    mu = _softmax_rows(contexts64 @ centroids64.T)
+    mu = _soft_assign(contexts64, centroids64)
     inner = np.einsum("ik,ik->i", mu, costs)
     return (mu * (costs - inner[:, None])).T @ contexts64
 
@@ -325,9 +330,11 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     """Alternating minimization per the screening learning algorithm.
 
     Centroids start from spherical k-means over the contexts and subsets
-    start empty. Each alternation takes the closed-form subset step and
-    then SGD epochs on the centroids. The returned model is the snapshot
-    with the lowest objective observed right after a subset step.
+    start empty. Each alternation after the first runs SGD epochs on the
+    centroids with the previous subsets fixed; every alternation then
+    takes the closed-form subset step. The returned model is the snapshot
+    with the lowest objective observed right after a subset step, so no
+    SGD runs after the last one.
 
     A subset holds only labelled candidates, or every candidate when its
     cluster's mass is 0 (see `compute_alpha`), so the subset step and the
@@ -352,21 +359,20 @@ def train(trainset: ScreeningTrainSet, cfg: TrainConfig) -> TrainResult:
     before, after = [], []
     best = None
     for step in range(cfg.alternations):
-        mu = _softmax_rows(contexts64 @ centroids.T)
-        before.append(_objective(mu, costs))
-
-        bits, costs = _subset_step(mu, inv, d, n, cfg.lam)
-        loss = _objective(mu, costs)
-        after.append(loss)
-        if best is None or loss < best[0]:
-            best = (loss, step, centroids.copy(), bits)
-
-        for _ in range(cfg.epochs_per_alternation):
+        for _ in range(cfg.epochs_per_alternation if step else 0):
             perm = rng.permutation(m)
             for lo in range(0, m, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
                 grad = _gradient(centroids, contexts64[batch], costs[batch])
                 centroids -= cfg.learning_rate * (grad / batch.size)
+
+        mu = _soft_assign(contexts64, centroids)
+        before.append(_objective(mu, costs))
+        bits, costs = _subset_step(mu, inv, d, n, cfg.lam)
+        loss = _objective(mu, costs)
+        after.append(loss)
+        if best is None or loss < best[0]:
+            best = (loss, step, centroids.copy(), bits)
 
     _, best_step, best_centroids, best_bits = best
     model = ScreeningModel(

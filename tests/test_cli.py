@@ -469,6 +469,16 @@ class TestInputMismatch:
                     "--k", "2", "--lambda", "1e-3", "--report", str(tmp_path / "grid.csv")]
         _assert_one_line_data_error(argv, capsys, "line 3 reads 99999999999999999999999")
 
+    @pytest.mark.parametrize("bad", ["3.5", "abc"])
+    def test_label_not_an_integer(self, corpus, tmp_path, capsys, bad):
+        labels = tmp_path / "bad.txt"
+        labels.write_text(f"3\n\n{bad}\n4\n")
+        argv = ["train-screen", "--contexts", str(corpus / "train_contexts.emb"),
+                "--candidates", str(corpus / "candidates.emb"), "--labels", str(labels),
+                "--k", "2", "--out-model", str(tmp_path / "m.scrn")]
+        _assert_one_line_data_error(argv, capsys, f"line 3 reads {bad}")
+        assert not (tmp_path / "m.scrn").exists()
+
     @pytest.mark.parametrize("command", ["labels", "search"])
     def test_zero_dimension_embeddings(self, tmp_path, capsys, command):
         flat = tmp_path / "flat.emb"

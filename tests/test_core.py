@@ -33,6 +33,10 @@ class TestInnerProduct:
         e1 = np.array([1.0, 0.0, 0.0])
         assert inner_product(e1, e1) == 1.0
 
+    def test_accumulates_in_float64(self):
+        # float32 accumulation would lose 2**-30 against 1 and return 0
+        assert inner_product([1.0, 2.0**-30, -1.0], [1.0, 1.0, 1.0]) == 2.0**-30
+
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -86,6 +90,15 @@ class TestSigmoid:
     def test_array_matches_scalar(self):
         xs = np.array([-700.0, -5.0, 0.0, 3.0, 700.0])
         np.testing.assert_array_equal(sigmoid_array(xs), [sigmoid(x) for x in xs])
+
+    def test_array_within_two_ulps_of_scalar(self):
+        # math.exp and np.exp round differently, so exact equality holds
+        # only at some points; 2 ulps is the largest gap over 300k draws
+        xs = np.random.default_rng(5).normal(0.0, 20.0, 100_000)
+        scalar = np.array([sigmoid(x) for x in xs])
+        vector = sigmoid_array(xs)
+        gap = np.abs(scalar - vector)
+        assert (gap <= 2 * np.spacing(np.maximum(scalar, vector))).all()
 
     def test_array_is_bitwise_the_masked_form(self):
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,

@@ -338,6 +338,25 @@ class TestTrain:
         np.testing.assert_array_equal(result.model.subset_bools, expected)
         assert result.losses_after_subset[0] <= result.losses_before_subset[0]
 
+    @pytest.mark.parametrize("lam", [5e-7, 1e-5])
+    def test_small_lambda_keeps_kmeans_and_the_label_set(self, lam):
+        # every context has some mass in every cluster, enough at these
+        # lambdas to keep each label in each subset, so the cost table is
+        # one constant, the gradient vanishes up to rounding and no later
+        # snapshot beats the first
+        from mipscreen.data import SyntheticSpec, build_labels, gen_synthetic
+
+        syn = gen_synthetic(SyntheticSpec())
+        labels = build_labels(syn.train_contexts, syn.candidates)
+        ts = ScreeningTrainSet(syn.train_contexts, syn.candidates, labels)
+        result = train(ts, TrainConfig(k=10, lam=lam, seed=42))
+        start = spherical_kmeans(ts.contexts, KMeansConfig(k=10, seed=42))
+        assert result.model.centroids.tobytes() == start.tobytes()
+        label_set = np.zeros(ts.candidates.shape[0], dtype=bool)
+        label_set[labels] = True
+        assert (result.model.subset_bools == label_set).all()
+        assert result.best_step == 0
+
     def test_k1_subset_is_distinct_labels(self):
         ts = self._trainset(seed=43)
         cfg = TrainConfig(k=1, lam=1e-4, alternations=3, seed=1)
@@ -473,10 +492,18 @@ class TestTrainMatchesDenseReference:
             candidates = rng.normal(size=(60, 5)).astype(np.float32)
         return ScreeningTrainSet(contexts, candidates, build_labels(contexts, candidates))
 
+    # `dense_train` still runs the SGD pass after the last subset step;
+    # `train` skips it, and no output may tell the difference
     @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("lam", [1e-5, 1e-3, 0.03])
-    def test_bitwise(self, trainset, seed, lam):
-        cfg = TrainConfig(k=5, lam=lam, alternations=6, seed=seed)
+    @pytest.mark.parametrize("lam, alternations, epochs", [
+        pytest.param(lam, alternations, epochs, id=str(lam) if (alternations, epochs) == (6, 1)
+                     else f"{lam}-alternations{alternations}-epochs{epochs}")
+        for lam in (1e-5, 1e-3, 0.03)
+        for alternations, epochs in ((6, 1), (6, 0), (6, 2), (1, 1), (2, 2))
+    ])
+    def test_bitwise(self, trainset, seed, lam, alternations, epochs):
+        cfg = TrainConfig(k=5, lam=lam, alternations=alternations,
+                          epochs_per_alternation=epochs, seed=seed)
         got = train(trainset, cfg)
         start = spherical_kmeans(trainset.contexts, KMeansConfig(k=cfg.k, seed=seed))
         centroids, bits, before, after, best_step = dense_train(

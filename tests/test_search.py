@@ -22,6 +22,13 @@ class TestExactArgmax:
         r = exact_argmax([1.0, 2.0], [[1, 0], [0, 1], [1, 1]])
         assert (r.index, r.score) == (2, 3.0)
 
+    def test_dimension_mismatch_rejected(self):
+        rows = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="dimension mismatch: contexts 3 vs candidates 2"):
+            argmax_batch(np.ones((1, 3)), rows)
+        with pytest.raises(ValueError, match="dimension mismatch: context 3 vs candidates 2"):
+            top_k(np.ones(3), rows, 1)
+
     def test_self_is_best_among_unit_vectors(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(20, 6))
