@@ -233,22 +233,21 @@ def _argmax_batch(queries, rows, rounding) -> np.ndarray:
         return _argmax_batch(queries.astype(wider.dtype), rows.astype(wider.dtype), wider)
     # the running winners (index, best, err): each exact score is best +- err
     state = np.zeros(m, dtype=np.int64), np.full(m, -np.inf), np.zeros(m)
-    # Balls pay for their build only on a long scan. Medians on a 2-core
-    # host, one BLAS thread, D = 32, 50-topic gen_synthetic rows, the same
-    # winners either way:
-    #   2000 x 10k, seed 42: scan 36 ms,  balls 10 ms
-    #   2000 x 10k, seed 7:  scan 36 ms,  balls 10 ms
-    #   2000 x 30k:          scan 101 ms, balls 17 ms
-    # On rows without clusters the failed pivot search is the cost: on
-    # Gaussian rows it wastes 2-3.5 ms against a 33 ms scan of 2000 x 10k,
-    # and at the threshold, 16 full score blocks (1678 x 10k), the call
-    # took 12% longer than the scan; clustered rows there take about a
-    # third of the scan's time. Balls win below it too (1000 x 10k: 20 ms
-    # scan, 10 ms balls), but there a failed search would cost 20%. On the
+    # Balls pay for their build on every batch of at least 2 blocks over at
+    # least 2 tiles. Medians on a 2-core host, one BLAS thread, D = 32,
+    # 50-topic gen_synthetic rows, the same winners either way:
+    #   512 x 8192, the smallest: scan 6.9 ms, balls 7.3 ms
+    #   1000 x 10k, seeds 42, 7:  scan 15 ms,  balls 8 ms
+    #   2000 x 10k:               scan 30 ms,  balls 9.5 ms
+    #   512 x 30k:                scan 26 ms,  balls 12 ms
+    #   2000 x 30k:               scan 94 ms,  balls 15 ms
+    # On rows without clusters the failed pivot search is the cost, 0.5-0.6
+    # ms of a call once it gives up at 16 pivots: Gaussian rows took 4-5%
+    # longer than the scan at 512 x 8192 and 2-3% at 1000 x 10k. On the
     # criterion-10 corpus (50 topics) the sample yields 50 balls, and a
     # batch scans 2% of the rows.
-    long_scan = m >= 2 * _BLOCK_ROWS and m * n >= 16 * _BLOCK_ROWS * _TILE_ROWS
-    balls = _balls(rows, norms, rounding) if long_scan and n >= 2 * _TILE_ROWS else None
+    long_scan = m >= 2 * _BLOCK_ROWS and n >= 2 * _TILE_ROWS
+    balls = _balls(rows, norms, rounding) if long_scan else None
     if balls is None:  # one ball: its tiles in order, every query visiting each
         visits = [((np.arange(s, s + t.shape[0]), t, norms[s : s + t.shape[0]]), None)
                   for s, t in _tiles(rows)]
@@ -348,14 +347,16 @@ def _balls(rows, norms, rounding):
     n, top = rows.shape[0], float(norms.max())
     if not rounding.bound(top, top) < rounding.limit:  # so no product of rows overflows
         return None
-    pick = np.random.default_rng(0).choice(n, size=min(n, 4 * _BLOCK_ROWS), replace=False)
-    sample = rows[np.sort(pick)].astype(np.float64)
-    centered = sample - sample.mean(axis=0)
-    centered = (centered / (np.abs(centered).max() or 1.0)).astype(np.float32)  # precise enough
+    pick = _sample_rows(n, min(n, 4 * _BLOCK_ROWS))
+    centered = rows.take(pick, axis=0).astype(np.float64)
+    centered -= centered.mean(axis=0)
+    centered /= max(centered.max(), -centered.min()) or 1.0
+    centered = centered.astype(np.float32)  # precise enough
     pivots = _pivots(centered)
     if pivots is None:
         return None
     owner, _ = _nearest(centered, centered[pivots])  # each pivot owns at least itself
+    sample = rows.take(pick, axis=0).astype(np.float64)  # taken again: centered in place
     sums = (owner == np.arange(len(pivots))[:, None]) @ sample
     centers = (sums / np.bincount(owner)[:, None]).astype(rows.dtype)
     cnorms = _row_norms(centers, rounding.unit, "centers")
@@ -374,6 +375,15 @@ def _balls(rows, norms, rounding):
     cnorms = cnorms[center_of]
     return _Balls(groups, centers[center_of].astype(np.float64), cnorms,
                   _radii(norms, scores[order], cnorms, starts, rounding))
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_rows(n, size):
+    """Ascending positions of a fixed sample of `size` of n rows, read-only
+    and kept per n: drawing them took 0.2 ms of a failed ball search."""
+    pick = np.sort(np.random.default_rng(0).choice(n, size=size, replace=False))
+    pick.flags.writeable = False
+    return pick
 
 
 def _radii(norms, scores, cnorms, starts, rounding):
@@ -412,10 +422,22 @@ def _pivots(sample):
     """Positions of farthest-point pivots in `sample`, picked until its
     covering radius has halved; None when that takes more than
     _BLOCK_ROWS pivots, as on data without cluster structure. The cap
-    keeps a tile's scores against the centers within one score block."""
+    keeps a tile's scores against the centers within one score block.
+
+    The search gives up at 16 pivots when fewer than 4 sample rows per
+    pivot lie within the goal radius; a search that goes on picks the
+    pivots it would without the check, and _BLOCK_ROWS <= 16 never reaches
+    it. Rows within the goal radius at 16 pivots, on 1024-row samples:
+    320-334 for 50 topics and 89 for 200 topics, which stop at 50 and 200
+    pivots; 704 for Gaussian rows at D = 8, which stop at 46; 17 for
+    Gaussian rows at D = 32, 21 for uniform rows and 35-45 for 50 topics at
+    noise 1.0 (seed 42), which would fail at 256. At seed 7 that noise
+    leaves 97, so the search runs on to fail at 256.
+    """
     sq = np.einsum("ij,ij->i", sample, sample)
     # |s - p|^2 - |s|^2 = [-2 s, 1] . [p, |p|^2], one matrix-vector product a pivot
-    left = np.concatenate((-2 * sample, np.ones_like(sq)[:, None]), axis=1)
+    left = np.ones((sq.size, sample.shape[1] + 1), dtype=sample.dtype)
+    np.multiply(sample, -2, out=left[:, :-1])
     right = np.concatenate((sample, sq[:, None]), axis=1)
     part = np.full_like(sq, np.inf)  # min over pivots p of |s - p|^2 - |s|^2
     d, far = np.empty_like(sq), np.empty_like(sq)
@@ -430,6 +452,8 @@ def _pivots(sample):
         if far[i] <= goal:
             return pivots
         if len(pivots) == _BLOCK_ROWS:
+            return None
+        if len(pivots) == 16 and np.count_nonzero(far <= goal) < 4 * 16:
             return None
         pivots.append(i)
 

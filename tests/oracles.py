@@ -288,3 +288,27 @@ def random_normals(seed: int, count: int) -> np.ndarray:
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
     return out[:count]
+
+
+def farthest_pivots(sample, cap):
+    """Farthest-point pivots without an early exit: positions in `sample`
+    picked until its covering radius has halved, or None after `cap`
+    pivots. The same float32 products, in the same order, as
+    `core._pivots`, which must return the same list wherever this one
+    finds one."""
+    sq = np.einsum("ij,ij->i", sample, sample)
+    left = np.concatenate((-2 * sample, np.ones_like(sq)[:, None]), axis=1)
+    right = np.concatenate((sample, sq[:, None]), axis=1)
+    part = np.full_like(sq, np.inf)
+    pivots = [0]
+    while True:
+        part = np.minimum(part, left @ right[pivots[-1]])
+        far = part + sq
+        i = int(far.argmax())
+        if len(pivots) == 1:
+            goal = far[i] / 4
+        if far[i] <= goal:
+            return pivots
+        if len(pivots) == cap:
+            return None
+        pivots.append(i)

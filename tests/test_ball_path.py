@@ -21,6 +21,7 @@ from mipscreen import core
 from mipscreen.data import SyntheticSpec, gen_synthetic
 from mipscreen.search import argmax_batch, exact_argmax
 from oracles import exact_argmax as oracle
+from oracles import farthest_pivots
 
 TINY = 2.0**-30
 
@@ -170,10 +171,10 @@ def test_the_zero_query_returns_row_zero_on_the_ball_path(small):
 
 
 def test_gaussian_rows_take_the_scan_and_clustered_rows_stop_at_their_topics(monkeypatch, built):
-    # At full tile size: 512 queries over 8192 rows reach the ball path's
-    # size rule once blocks are 16 queries. The pivot search on a
-    # Gaussian sample never halves its covering radius within 16 pivots;
-    # on 8 topics it stops at 8.
+    # At full tile size with 16-query blocks, so at most 16 pivots and no
+    # early check: 512 queries over 8192 rows reach the size rule. The
+    # pivot search on a Gaussian sample never halves its covering radius
+    # within 16 pivots; on 8 topics it stops at 8.
     monkeypatch.setattr(core, "_BLOCK_ROWS", 16)
     rng = np.random.default_rng(9)
     gaussian = rng.normal(size=(8192, 32)).astype(np.float32)
@@ -200,23 +201,24 @@ def gaussian(m, n, seed):
 
 # (corpus, m, n, seed, path) at the real tile and block sizes: "scan" makes
 # no _balls call, "balls" builds them, "tried" finds no clusters. A long
-# batch has m n >= 16 full score blocks of 256 x 4096.
+# batch has at least 2 blocks of 256 queries and 2 tiles of 4096 rows.
 @pytest.mark.parametrize("corpus, m, n, seed, path", [
-    (topics, 1000, 10_000, 42, "scan"),  # m n under 16 score blocks
-    (topics, 1000, 10_000, 7, "scan"),
+    (topics, 1000, 10_000, 42, "balls"),
+    (topics, 1000, 10_000, 7, "balls"),
     (topics, 2000, 10_000, 42, "balls"),
     (topics, 2000, 10_000, 7, "balls"),
     (topics, 1000, 30_000, 42, "balls"),
     (topics, 1000, 30_000, 7, "balls"),
     (topics, 2000, 30_000, 42, "balls"),
     (topics, 2000, 30_000, 7, "balls"),
-    (topics, 1677, 10_000, 42, "scan"),  # the edges of 16 score blocks
-    (topics, 1678, 10_000, 42, "balls"),
-    (topics, 559, 30_000, 42, "scan"),
-    (topics, 560, 30_000, 42, "balls"),
+    (topics, 511, 8192, 42, "scan"),  # the edges of the smallest long batch
+    (topics, 512, 8192, 42, "balls"),
+    (topics, 512, 8191, 42, "scan"),
     (topics, 511, 100_000, 42, "scan"),  # m under 2 blocks
     (topics, 512, 100_000, 42, "balls"),
     (topics, 2100, 8191, 42, "scan"),  # n under 2 tiles
+    (gaussian, 512, 8192, 9, "tried"),
+    (gaussian, 1000, 10_000, 9, "tried"),
     (gaussian, 2000, 10_000, 9, "tried"),
 ])
 def test_the_size_rule_decides_which_batches_look_for_balls(built, corpus, m, n, seed, path):
@@ -225,6 +227,60 @@ def test_the_size_rule_decides_which_batches_look_for_balls(built, corpus, m, n,
     assert ["tried" if b is None else "balls" for b in built] == ([] if path == "scan" else [path])
     if path != "scan":
         np.testing.assert_array_equal(got, [exact_argmax(q, rows).index for q in queries])
+
+
+def searched_sample(rows):
+    """The centered float32 sample of `rows` that `_balls` searches for
+    pivots, at the real block size."""
+    seen = []
+    rounding = core._rounding(rows.dtype, rows.shape[1])
+    norms = core._row_norms(rows, rounding.unit, "candidates")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_pivots", seen.append)  # returns None: no balls are built
+        core._balls(rows, norms, rounding)
+    return seen[0]
+
+
+def pivot_rows(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian-d8":
+        return rng.normal(size=(n, 8)).astype(np.float32)
+    if kind == "gaussian-d32":
+        return rng.normal(size=(n, 32)).astype(np.float32)
+    if kind == "uniform":
+        return rng.uniform(size=(n, 32)).astype(np.float32)
+    topics, sigma = {"50-topics": (50, 0.3), "200-topics": (200, 0.3),
+                     "50-topics-noise-1": (50, 1.0)}[kind]
+    return gen_synthetic(SyntheticSpec(m_train=topics, m_test=1, n_candidates=n, dim=32,
+                                       topics=topics, noise_sigma=sigma, seed=seed)).candidates
+
+
+# (kind, n, seed, gives_up): None where the search finds pivots, else the
+# number of pivots it tries before it returns None. Rows without clusters
+# give up at the check at 16 pivots; 50 topics at noise 1.0 and seed 7
+# pass it and fail only at 256.
+@pytest.mark.parametrize("kind, n, seed, gives_up", [
+    ("50-topics", 10_000, 42, None),
+    ("50-topics", 10_000, 7, None),
+    ("50-topics", 100_000, 42, None),
+    ("200-topics", 10_000, 42, None),
+    ("gaussian-d8", 10_000, 9, None),
+    ("gaussian-d32", 10_000, 9, 16),
+    ("uniform", 10_000, 9, 16),
+    ("50-topics-noise-1", 10_000, 42, 16),
+    ("50-topics-noise-1", 100_000, 42, 16),
+    ("50-topics-noise-1", 10_000, 7, 256),
+])
+def test_the_pivot_search_gives_up_early_only_where_it_would_fail(kind, n, seed, gives_up):
+    sample = searched_sample(pivot_rows(kind, n, seed))
+    want = farthest_pivots(sample, core._BLOCK_ROWS)
+    products = []  # one matrix-vector product a pivot
+    matmul = np.matmul
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", lambda *args, **kw: products.append(1) or matmul(*args, **kw))
+        got = core._pivots(sample)
+    assert got == want
+    assert len(products) == (len(want) if gives_up is None else gives_up)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
