@@ -1,56 +1,3 @@
 """Fast response retrieval at scale: exact MIPS, learned candidate
 screening, dual-encoder distillation, and the evaluation harness tying
 them together."""
-
-from .core import inner_product, l2_normalize, score_dual, sigmoid
-from .data import SyntheticSpec, build_labels, gen_synthetic, read_embeddings, write_embeddings
-from .distill import DistillConfig, DualEncoder, PlantedTeacher, kd_loss, train_distilled
-from .evaluate import bench_latency, grid_sweep, screening_accuracy, speedup_ratio
-from .kmeans import KMeansConfig, spherical_kmeans
-from .screening import (
-    ScreeningModel,
-    ScreeningTrainSet,
-    TrainConfig,
-    load_model,
-    predict_subset,
-    save_model,
-    screened_search,
-    train,
-)
-from .search import exact_argmax, recall_at_1, top_k
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "DistillConfig",
-    "DualEncoder",
-    "KMeansConfig",
-    "PlantedTeacher",
-    "ScreeningModel",
-    "ScreeningTrainSet",
-    "SyntheticSpec",
-    "TrainConfig",
-    "bench_latency",
-    "build_labels",
-    "exact_argmax",
-    "gen_synthetic",
-    "grid_sweep",
-    "inner_product",
-    "kd_loss",
-    "l2_normalize",
-    "load_model",
-    "predict_subset",
-    "read_embeddings",
-    "recall_at_1",
-    "save_model",
-    "score_dual",
-    "screened_search",
-    "screening_accuracy",
-    "sigmoid",
-    "speedup_ratio",
-    "spherical_kmeans",
-    "top_k",
-    "train",
-    "train_distilled",
-    "write_embeddings",
-]

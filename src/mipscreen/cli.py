@@ -77,8 +77,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--contexts", required=True, help="EMB1 held-out contexts (required)")
     e.add_argument("--candidates", required=True, help="EMB1 candidates (required)")
     e.add_argument("--report", default="", help="optional CSV report path")
-    e.add_argument("--seed", type=int, default=42,
-                   help="seed recorded in the report (default 42)")
+    _config_flags(e, scr.TrainConfig, ("--seed", "seed", "seed recorded in the report"))
 
     r = sub.add_parser("grid", parents=[sgd], help="sweep the K x lambda grid")
     r.add_argument("--train-contexts", required=True, help="EMB1 training contexts (required)")
@@ -105,10 +104,9 @@ def _build_parser() -> _Parser:
                   ("--beta", "beta", "teacher score gap weight"),
                   ("--lr", "learning_rate", "SGD learning rate"),
                   ("--epochs", "epochs", "SGD epochs"),
-                  ("--batch", "batch_size", "SGD batch size"))
-    d.add_argument("--dim", type=int, default=0,
-                   help="embedding width (default 0 = half the feature length, at least 2)")
-    _config_flags(d, dst.DistillConfig, ("--seed", "seed", "training seed"))
+                  ("--batch", "batch_size", "SGD batch size"),
+                  ("--dim", "dim", "embedding width, 0 for half the feature length, at least 2"),
+                  ("--seed", "seed", "training seed"))
     d.add_argument("--out-encoder", required=True, help="output DENC file (required)")
 
     gp = sub.add_parser("gen-pairs", help="generate planted-teacher pair files")
@@ -248,16 +246,6 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _load_model(path, candidates) -> scr.ScreeningModel:
-    model = scr.load_model(path)
-    if model.n_candidates != candidates.shape[0]:
-        raise ValueError(
-            f"--model expects {model.n_candidates} candidates but "
-            f"--candidates has {candidates.shape[0]}"
-        )
-    return model
-
-
 def _cmd_search(args) -> int:
     """Answer the whole context file in one call (`argmax_batch`, or
     `screened_search_batch` for --screened) and print one `index score`
@@ -269,10 +257,8 @@ def _cmd_search(args) -> int:
         raise _UsageError("search: --model requires --screened")
     contexts = dio.read_embeddings(args.context_file)
     candidates = dio.read_embeddings(args.candidates)
-    if candidates.shape[0] < 1:
-        raise ValueError(f"candidate file {args.candidates} is empty")
     if args.screened:
-        indices = scr.screened_search_batch(contexts, _load_model(args.model, candidates), candidates)
+        indices = scr.screened_search_batch(contexts, scr.load_model(args.model), candidates)
     else:
         indices = argmax_batch(contexts, candidates)
     scores = _scores(contexts, candidates.take(indices, axis=0))
@@ -282,7 +268,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_distill(args) -> int:
     pairs = dio.read_pairs(args.pairs)
-    cfg = _config(dst.DistillConfig, args, dim=args.dim or None)
+    cfg = _config(dst.DistillConfig, args)
     result = dst.train_distilled(pairs, None, cfg)
     dst.save_encoder(result.encoder, args.out_encoder)
     print(
@@ -321,7 +307,7 @@ def _cmd_bench(args) -> int:
 
     exact_stats = bench("exact")
     if args.model:
-        model = _load_model(args.model, candidates)
+        model = scr.load_model(args.model)
         scr_stats = bench("screened", model)
         print(
             f"wall-clock speedup {exact_stats.mean_ns / scr_stats.mean_ns:.2f}x, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_finite, normalize_rows, read_container, write_container
+from .core import as_matrix, check_finite, normalize_rows, read_container, write_container
 from .distill import PairSet, PlantedTeacher, teacher_favorites
 from .search import argmax_batch
 
@@ -103,10 +103,7 @@ def random_normals(seed: int, count: int) -> np.ndarray:
 
 def write_embeddings(matrix, path) -> None:
     """Persist a row matrix in the EMB1 container."""
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    _checked(matrix)
+    matrix = _checked(as_matrix(matrix))
     write_container(path, _EMB_MAGIC, "<II", matrix.shape, [matrix.astype("<f4")])
 
 
@@ -293,8 +290,6 @@ def gen_pair_data(spec: PairSpec):
 
 def write_pairs(pairs: PairSet, path) -> None:
     """Persist a labeled pair set (cached teacher scores included)."""
-    if pairs.teacher_scores is None:
-        raise ValueError("pair set has no cached teacher scores to persist")
     write_container(
         path,
         _PAIR_MAGIC,

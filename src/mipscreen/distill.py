@@ -9,7 +9,6 @@ score gap, added to the usual binary cross entropy on labels.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,29 +49,27 @@ class DualEncoder:
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
-    """Labeled (context, response) feature pairs, optionally carrying
-    cached teacher scores."""
+    """Labeled (context, response) feature pairs with their cached
+    teacher scores."""
 
     ctx_features: np.ndarray  # (P, F) float32
     resp_features: np.ndarray  # (P, F) float32
     labels: np.ndarray  # (P,) 0/1
-    teacher_scores: Optional[np.ndarray] = None  # (P,) float32 in (0,1)
+    teacher_scores: np.ndarray  # (P,) float32 in (0,1)
 
     def __post_init__(self):
         object.__setattr__(self, "ctx_features", as_matrix(self.ctx_features))
         object.__setattr__(self, "resp_features", as_matrix(self.resp_features))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.uint8))
+        object.__setattr__(self, "teacher_scores", np.asarray(self.teacher_scores, dtype=np.float32))
         if self.ctx_features.shape != self.resp_features.shape:
             raise ValueError("context and response feature shapes differ")
         if self.labels.shape != (self.ctx_features.shape[0],):
             raise ValueError("need one label per pair")
         if np.any(self.labels > 1):
             raise ValueError("labels must be 0 or 1")
-        if self.teacher_scores is not None:
-            ts = np.asarray(self.teacher_scores, dtype=np.float32)
-            if ts.shape != (len(self),):
-                raise ValueError("need one teacher score per pair")
-            object.__setattr__(self, "teacher_scores", ts)
+        if self.teacher_scores.shape != (len(self),):
+            raise ValueError("need one teacher score per pair")
 
     def __len__(self) -> int:
         return self.ctx_features.shape[0]
@@ -87,7 +84,7 @@ class DistillConfig:
     epochs: int = 20
     batch_size: int = 64
     seed: int = 42
-    dim: Optional[int] = None  # embedding width; None means max(2, F // 2)
+    dim: int = 0  # embedding width; 0 means max(2, F // 2)
 
     def __post_init__(self):
         for name in ("beta", "learning_rate"):
@@ -97,8 +94,8 @@ class DistillConfig:
             raise ValueError("beta must be >= 0")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("bad SGD parameters")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.dim < 0:
+            raise ValueError("dim must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,17 +218,6 @@ def loss_and_gradients(
     return float(_kd_losses(s, sc, y, beta).mean()), g_ctx, g_resp
 
 
-def _teacher_scores_for(pairs: PairSet, teacher) -> np.ndarray:
-    if teacher is not None:
-        return np.asarray(
-            teacher.score_batch(pairs.ctx_features, pairs.resp_features),
-            dtype=np.float64,
-        )
-    if pairs.teacher_scores is None:
-        raise ValueError("no teacher given and no cached teacher scores")
-    return pairs.teacher_scores.astype(np.float64)
-
-
 def _epoch_loss(losses, step) -> float:
     """Mean loss of an epoch of batches of `step` pairs (the last one takes
     the remainder): each batch's mean loss times its size, summed batch by
@@ -261,12 +247,17 @@ def train_distilled(pairs: PairSet, teacher, cfg: DistillConfig) -> DistillResul
     """
     if len(pairs) < 2 or pairs.labels.min() == pairs.labels.max():
         raise ValueError("need at least one positive and one negative pair")
-    scores_cross = _teacher_scores_for(pairs, teacher)
+    if teacher is None:
+        scores_cross = pairs.teacher_scores.astype(np.float64)
+    else:
+        scores_cross = np.asarray(
+            teacher.score_batch(pairs.ctx_features, pairs.resp_features), dtype=np.float64
+        )
     if not np.all((scores_cross > 0.0) & (scores_cross < 1.0)):
         raise ValueError("teacher scores must lie strictly inside (0, 1)")
 
     n_feat = pairs.ctx_features.shape[1]
-    dim = cfg.dim if cfg.dim is not None else max(2, n_feat // 2)
+    dim = cfg.dim or max(2, n_feat // 2)
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / np.sqrt(n_feat * np.sqrt(dim))
     w_ctx = rng.normal(0.0, scale, (n_feat, dim))

@@ -64,7 +64,11 @@ def _repair_empty(points_n, centroids, labels):
     The stolen point must come from a cluster keeping >= 2 members, and
     must actually land in the reseeded cluster under lowest-index argmax
     (duplicates of an earlier centroid cannot claim it). Degenerate inputs
-    where no such point exists leave the cluster empty.
+    where no such point exists leave the cluster empty. Points with K or
+    more directions, no two within rounding of each other, always leave
+    one: a point stays put only if it is alone in its cluster or lies on
+    its own centroid or on a reseeded one, and the K - 1 other clusters
+    account for at most K - 1 such directions.
     """
     k = centroids.shape[0]
     counts = np.bincount(labels, minlength=k)

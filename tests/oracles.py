@@ -138,7 +138,7 @@ def per_batch_distill(ctx_features, resp_features, teacher_scores, labels, cfg):
     scores = np.asarray(teacher_scores, dtype=np.float64)
     y = np.asarray(labels).astype(np.float64)
     n, n_feat = ctx.shape
-    dim = cfg.dim if cfg.dim is not None else max(2, n_feat // 2)
+    dim = cfg.dim or max(2, n_feat // 2)
     rng = np.random.default_rng(cfg.seed)
     scale = 1.0 / np.sqrt(n_feat * np.sqrt(dim))
     w_ctx = rng.normal(0.0, scale, (n_feat, dim))

@@ -334,7 +334,7 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "--model" in err and "--candidates" in err
+        assert err == "mipscreen: error: candidate count mismatch: candidates 60 vs model 7\n"
 
     def test_corrupt_model_is_data_error(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.scrn"
@@ -454,6 +454,35 @@ class TestInputMismatch:
                 "--context-file", str(corpus / "test_contexts.emb"),
                 "--candidates", str(corpus / "candidates.emb")]
         _assert_one_line_data_error(argv, capsys, "dimension mismatch: candidates 8 vs model 5")
+
+    @pytest.mark.parametrize("command", ["search", "bench", "eval-screen"])
+    def test_model_candidate_count_mismatch_reads_one_way(self, corpus, tmp_path, capsys,
+                                                          command):
+        model = str(self._model(tmp_path, 8, n=61))
+        contexts, candidates = str(corpus / "test_contexts.emb"), str(corpus / "candidates.emb")
+        argv = {
+            "search": ["search", "--screened", "--model", model,
+                       "--context-file", contexts, "--candidates", candidates],
+            "bench": ["bench", "--model", model, "--contexts", contexts,
+                      "--candidates", candidates, "--warmup", "0", "--iters", "1"],
+            "eval-screen": ["eval-screen", "--model", model,
+                            "--contexts", contexts, "--candidates", candidates],
+        }[command]
+        _assert_one_line_data_error(
+            argv, capsys, "candidate count mismatch: candidates 60 vs model 61")
+
+    @pytest.mark.parametrize("command", ["labels", "search"])
+    def test_empty_candidates_read_one_way(self, corpus, tmp_path, capsys, command):
+        empty = tmp_path / "empty.emb"
+        write_embeddings(np.zeros((0, 8), dtype=np.float32), empty)
+        contexts = str(corpus / "test_contexts.emb")
+        argv = {
+            "labels": ["labels", "--contexts", contexts, "--candidates", str(empty),
+                       "--out", str(tmp_path / "labels.txt")],
+            "search": ["search", "--exact", "--context-file", contexts,
+                       "--candidates", str(empty)],
+        }[command]
+        _assert_one_line_data_error(argv, capsys, "candidate set is empty")
 
     @pytest.mark.parametrize("command", ["train-screen", "grid"])
     def test_label_outside_int64(self, corpus, tmp_path, capsys, command):
@@ -590,7 +619,7 @@ _CONFIG_FLAGS = {
     "grid": (TrainConfig, "ev.grid_sweep", _SGD_FLAGS),
     "distill": (DistillConfig, "dst.train_distilled",
                 {"--beta": "beta", "--lr": "learning_rate", "--epochs": "epochs",
-                 "--batch": "batch_size", "--seed": "seed"}),
+                 "--batch": "batch_size", "--dim": "dim", "--seed": "seed"}),
     "gen-pairs": (PairSpec, "dio.gen_pair_data",
                   {"--n-train": "n_train", "--n-test": "n_test", "--f": "n_features",
                    "--picks": "picks", "--flip": "label_flip", "--seed": "seed"}),
@@ -650,10 +679,16 @@ class TestConfigDefaults:
     @pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
     def test_each_flag_sets_its_field(self, monkeypatch, required, command):
         cls, _, flags = _CONFIG_FLAGS[command]
-        doubled = {field: 2 * getattr(cls(), field) for field in flags.values()}
+        # a default of 0 (DistillConfig.dim) doubles to itself, so set 3
+        doubled = {field: 2 * getattr(cls(), field) or 3 for field in flags.values()}
         argv = [a for flag, field in flags.items() for a in (flag, str(doubled[field]))]
         got = self._config(monkeypatch, command, required[command] + argv)
         assert {field: getattr(got, field) for field in flags.values()} == doubled
+
+    def test_eval_screen_seed_defaults_to_train_config(self):
+        args = cli._build_parser().parse_args(
+            ["eval-screen", "--model", "m", "--contexts", "c", "--candidates", "n"])
+        assert args.seed == TrainConfig().seed
 
     @pytest.mark.filterwarnings("error")  # no RuntimeWarning from a non-finite value either
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

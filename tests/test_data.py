@@ -350,13 +350,14 @@ class TestPairData:
             with pytest.raises(ValueError, match="non-finite"):
                 read_pairs(path)
 
-    def test_write_requires_cached_scores(self, tmp_path):
+    def test_write_requires_cached_scores(self):
+        """A pair set always carries teacher scores, so `write_pairs` has
+        none to refuse: the constructor does."""
         from mipscreen.distill import PairSet
 
-        pairs = PairSet(
-            np.ones((2, 3), dtype=np.float32),
-            np.ones((2, 3), dtype=np.float32),
-            np.array([1, 0], dtype=np.uint8),
-        )
-        with pytest.raises(ValueError, match="teacher scores"):
-            write_pairs(pairs, tmp_path / "x.pair")
+        with pytest.raises(TypeError, match="teacher_scores"):
+            PairSet(
+                np.ones((2, 3), dtype=np.float32),
+                np.ones((2, 3), dtype=np.float32),
+                np.array([1, 0], dtype=np.uint8),
+            )

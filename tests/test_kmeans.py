@@ -21,6 +21,15 @@ class TestSphericalKMeans:
         np.testing.assert_allclose(trace.centroids[0], l2_normalize(v), atol=1e-6)
         assert len(trace.objective) == 1
 
+    def test_identical_points_can_leave_a_cluster_empty(self):
+        """Fewer distinct directions than K: `_repair_empty` finds no point
+        to move, and the fit still returns."""
+        points = np.tile(np.array([2.0, -1.0, 2.0], dtype=np.float32), (5, 1))
+        trace = fit_spherical_kmeans(points, KMeansConfig(k=3, seed=0))
+        np.testing.assert_allclose(np.linalg.norm(trace.centroids, axis=1), 1.0, atol=1e-6)
+        counts = np.bincount(trace.labels, minlength=3)
+        assert counts.sum() == 5 and np.count_nonzero(counts == 0) == 1
+
     def test_two_tight_groups(self):
         rng = np.random.default_rng(21)
         a = np.array([1.0, 0.0]) + rng.normal(0, 0.02, size=(40, 2))

@@ -686,6 +686,35 @@ class TestTrainSetFinite:
             ScreeningTrainSet(contexts, candidates, np.zeros(4))
 
 
+class TestSearchReadsOnlySearchedRows:
+    """Screened search checks the rows it searches, not every candidate."""
+
+    def _setup(self):
+        rng = np.random.default_rng(58)
+        candidates = rng.normal(size=(50, 4)).astype(np.float32)
+        contexts = rng.normal(size=(5, 4)).astype(np.float32)
+        bools = np.zeros((2, 50), dtype=bool)
+        bools[:, 25:] = True  # row 0 is never searched
+        model = make_model(np.eye(2, 4), bools, 1e-3)
+        return model, contexts, candidates, screened_search_batch(contexts, model, candidates)
+
+    def test_non_finite_searched_row_refused(self):
+        model, contexts, candidates, clean = self._setup()
+        candidates[clean[0], 1] = np.nan
+        with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+            screened_search(contexts[0], model, candidates)
+        with pytest.raises(ValueError, match="^candidates contains non-finite entries$"):
+            screened_search_batch(contexts, model, candidates)
+
+    def test_non_finite_unsearched_row_leaves_the_answer(self):
+        model, contexts, candidates, clean = self._setup()
+        dirty = candidates.copy()
+        dirty[0, 1] = np.nan
+        np.testing.assert_array_equal(screened_search_batch(contexts, model, dirty), clean)
+        for c in contexts:
+            assert screened_search(c, model, dirty) == screened_search(c, model, candidates)
+
+
 class TestEmptySubsetFallback:
     """An empty stored subset is kept as stored, but its cluster searches
     every candidate."""
